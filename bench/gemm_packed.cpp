@@ -23,6 +23,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 
 #include "bench_report.h"
 #include "core/kernels/dispatch.h"
@@ -74,6 +75,17 @@ max_abs(const Tensor& t)
     for (std::int64_t i = 0; i < t.numel(); ++i)
         m = std::max(m, std::fabs(static_cast<double>(t.data()[i])));
     return m;
+}
+
+/** True when @p a and @p b hold the same float bit patterns (so +0.0
+ *  vs -0.0 or two different NaNs count as a difference). */
+bool
+same_bits(const Tensor& a, const Tensor& b)
+{
+    return a.numel() == b.numel() &&
+           std::memcmp(a.data(), b.data(),
+                       static_cast<std::size_t>(a.numel()) *
+                           sizeof(float)) == 0;
 }
 
 /** QSNR floors mirroring tests/test_gemm.cpp (measured ~43/25/13 dB). */
@@ -197,7 +209,7 @@ main()
             Tensor cs({5, 9}), cv({5, 9});
             gemm::scalar_gemm_kernel().gemm(gp, a, b, cs.data());
             gemm::avx2_gemm_kernel()->gemm(gp, a, b, cv.data());
-            identical = tensor::max_abs_diff(cs, cv) == 0.0;
+            identical = same_bits(cs, cv);
             std::printf("  scalar vs AVX2 bit-identical: %s\n",
                         identical ? "yes" : "NO");
         } else {
@@ -219,7 +231,7 @@ main()
             Tensor cs({5, 9}), cv({5, 9});
             gemm::scalar_gemm_kernel().gemm(gp, a, b, cs.data());
             gemm::avx512_gemm_kernel()->gemm(gp, a, b, cv.data());
-            identical512 = tensor::max_abs_diff(cs, cv) == 0.0;
+            identical512 = same_bits(cs, cv);
             std::printf("  scalar vs AVX-512 bit-identical: %s\n",
                         identical512 ? "yes" : "NO");
         } else {
@@ -304,8 +316,7 @@ main()
                     },
                     smacs);
                 Tensor out = gemm::matmul_nt_prequant(gp, a, b);
-                identical =
-                    identical && tensor::max_abs_diff(out, base) == 0.0;
+                identical = identical && same_bits(out, base);
                 if (sl.threads == 1)
                     t1_rate = r.items_per_sec;
                 if (sl.threads == pool)

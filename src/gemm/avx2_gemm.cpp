@@ -5,24 +5,20 @@
  * k1-block pair is exact integer arithmetic, so reassociating it across
  * SIMD lanes cannot change the result.
  *
- * Fast path (detail::simd_fast_path — the MX family: k1 = 16, k2 = 2 on
- * both sides, m <= 7 — MX9/MX6/MX4 and their mx_custom neighbours):
- *   - one _mm256_madd_epi16 multiplies 16 int16 mantissa pairs and adds
- *     adjacent products, yielding all 8 k2-sub-block dot products of a
- *     block in one instruction;
- *   - the 8 combined shifts (budget - taua_s - taub_s) come from two
- *     8-byte tau loads widened to epi32, applied with _mm256_sllv_epi32
- *     (the per-sub-block shifter of Figure 6);
- *   - the 8 shifted sub-sums fit int32 by the GemmPlan headroom check
- *     and reduce horizontally to the block integer.
+ * Fast path (detail::simd_fast_path — k1 = 16 with int32 headroom: the
+ * MX family, MSFP16 and their custom neighbours, any d2):
+ *   - one _mm256_madd_epi16 multiplies a block's 16 folded int16
+ *     mantissa pairs and adds adjacent products; the sub-block shifts
+ *     are already inside the mantissas (packed_operand.h), so the 8
+ *     int32 lanes reduce horizontally straight to the block integer.
  *
  * The tile microkernel is register-blocked: kRegCols output columns per
- * pass share each A-side mantissa/tau load while their FP32 partial
- * sums stay in registers, and the kc panel loop (kPanelBlocks) keeps
- * the register block's B rows cache-resident across the sweep.
- * Everything off the fast path — ragged tail blocks, non-16 k1, d2 = 0
- * sides, wide mantissas — delegates to the scalar tile kernel or
- * detail::block_contrib, the same code the reference runs.
+ * pass share each A-side mantissa load while their FP32 partial sums
+ * stay in registers, and the kc panel loop (kPanelBlocks) keeps the
+ * register block's B rows cache-resident across the sweep.  Everything
+ * off the fast path — ragged tail blocks, non-16 k1, wide mantissas —
+ * delegates to the scalar tile kernel or detail::block_contrib, the
+ * same code the reference runs.
  *
  * This translation unit is the only one in mx_gemm compiled with
  * -mavx2; callers reach it through gemm::active_gemm_kernel(), which is
@@ -63,14 +59,6 @@ load_mant(const std::int16_t* p)
     return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
 
-/** A block's 8 tau bytes, widened to epi32 shift counts. */
-inline __m256i
-load_tau(const std::uint8_t* p)
-{
-    return _mm256_cvtepu8_epi32(
-        _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p)));
-}
-
 class Avx2GemmKernel final : public PackedGemmKernel
 {
   public:
@@ -88,7 +76,6 @@ class Avx2GemmKernel final : public PackedGemmKernel
         const std::size_t cols = a.cols();
         const std::size_t full = cols / 16; // whole 16-element blocks
         const std::size_t nblocks = (cols + 15) / 16;
-        const __m256i vbudget = _mm256_set1_epi32(plan.budget);
 
         for (std::size_t p0 = 0; p0 < nblocks; p0 += kPanelBlocks) {
             const std::size_t p1 = std::min(nblocks, p0 + kPanelBlocks);
@@ -96,34 +83,25 @@ class Avx2GemmKernel final : public PackedGemmKernel
             const bool first = p0 == 0;
             for (std::size_t i = t.i0; i < t.i1; ++i) {
                 const std::int16_t* am = a.row_mantissa(i);
-                const std::uint8_t* atau = a.row_tau(i);
-                const std::int16_t* aexp = a.row_exp(i);
+                const ExpRow aexp = a.row_exp(i);
                 float* crow = c + i * ldc;
                 for (std::size_t j0 = t.j0; j0 < t.j1; j0 += kRegCols) {
                     const std::size_t jn = std::min(kRegCols, t.j1 - j0);
                     const std::int16_t* bm[kRegCols];
-                    const std::uint8_t* btau[kRegCols];
-                    const std::int16_t* bexp[kRegCols];
+                    ExpRow bexp[kRegCols];
                     float acc[kRegCols];
                     for (std::size_t jj = 0; jj < jn; ++jj) {
                         bm[jj] = b.row_mantissa(j0 + jj);
-                        btau[jj] = b.row_tau(j0 + jj);
                         bexp[jj] = b.row_exp(j0 + jj);
                         acc[jj] = first ? 0.0f : crow[j0 + jj];
                     }
                     for (std::size_t blk = p0; blk < pfull; ++blk) {
                         const std::size_t off = blk * 16;
                         const __m256i ma = load_mant(am + off);
-                        const __m256i ta = load_tau(atau + off / 2);
                         for (std::size_t jj = 0; jj < jn; ++jj) {
-                            const __m256i dots = _mm256_madd_epi16(
-                                ma, load_mant(bm[jj] + off));
-                            const __m256i shift = _mm256_sub_epi32(
-                                vbudget,
-                                _mm256_add_epi32(
-                                    ta, load_tau(btau[jj] + off / 2)));
-                            const std::int64_t blki =
-                                hsum_epi32(_mm256_sllv_epi32(dots, shift));
+                            const std::int64_t blki = hsum_epi32(
+                                _mm256_madd_epi16(ma,
+                                                  load_mant(bm[jj] + off)));
                             acc[jj] += static_cast<float>(
                                 static_cast<double>(blki) *
                                 core::kernels::detail::pow2_double(
@@ -136,8 +114,8 @@ class Avx2GemmKernel final : public PackedGemmKernel
                     if (p1 > full)
                         for (std::size_t jj = 0; jj < jn; ++jj)
                             acc[jj] += detail::block_contrib(
-                                plan, am, atau, aexp[full], bm[jj],
-                                btau[jj], bexp[jj][full], full * 16,
+                                plan, am, aexp[full], bm[jj],
+                                bexp[jj][full], full * 16,
                                 cols - full * 16);
                     for (std::size_t jj = 0; jj < jn; ++jj)
                         crow[j0 + jj] = acc[jj];
@@ -160,7 +138,6 @@ class Avx2GemmKernel final : public PackedGemmKernel
         const std::size_t full_chunks =
             !b.empty() && b.back().op->cols() == 16 ? b.size()
                                                     : b.size() - 1;
-        const __m256i vbudget = _mm256_set1_epi32(plan.budget);
 
         for (std::size_t p0 = 0; p0 < b.size(); p0 += kPanelBlocks) {
             const std::size_t p1 = std::min(b.size(), p0 + kPanelBlocks);
@@ -168,8 +145,7 @@ class Avx2GemmKernel final : public PackedGemmKernel
             const bool first = p0 == 0;
             for (std::size_t i = t.i0; i < t.i1; ++i) {
                 const std::int16_t* am = a.row_mantissa(i);
-                const std::uint8_t* atau = a.row_tau(i);
-                const std::int16_t* aexp = a.row_exp(i);
+                const ExpRow aexp = a.row_exp(i);
                 float* crow = c + i * ldc;
                 for (std::size_t j0 = t.j0; j0 < t.j1; j0 += kRegCols) {
                     const std::size_t jn = std::min(kRegCols, t.j1 - j0);
@@ -180,17 +156,11 @@ class Avx2GemmKernel final : public PackedGemmKernel
                         const PackedOperand& chunk = *b[k].op;
                         const std::size_t br0 = b[k].row_off + j0;
                         const __m256i ma = load_mant(am + k * 16);
-                        const __m256i ta = load_tau(atau + k * 8);
                         for (std::size_t jj = 0; jj < jn; ++jj) {
                             const std::size_t br = br0 + jj;
-                            const __m256i dots = _mm256_madd_epi16(
-                                ma, load_mant(chunk.row_mantissa(br)));
-                            const __m256i shift = _mm256_sub_epi32(
-                                vbudget,
-                                _mm256_add_epi32(
-                                    ta, load_tau(chunk.row_tau(br))));
-                            const std::int64_t blki =
-                                hsum_epi32(_mm256_sllv_epi32(dots, shift));
+                            const std::int64_t blki = hsum_epi32(
+                                _mm256_madd_epi16(
+                                    ma, load_mant(chunk.row_mantissa(br))));
                             acc[jj] += static_cast<float>(
                                 static_cast<double>(blki) *
                                 core::kernels::detail::pow2_double(
@@ -204,10 +174,9 @@ class Avx2GemmKernel final : public PackedGemmKernel
                             const std::size_t br =
                                 b.back().row_off + j0 + jj;
                             acc[jj] += detail::block_contrib2(
-                                plan, am, atau, aexp[full_chunks],
+                                plan, am, aexp[full_chunks],
                                 full_chunks * 16, tailc.row_mantissa(br),
-                                tailc.row_tau(br), tailc.row_exp(br)[0],
-                                0, tailc.cols());
+                                tailc.row_exp(br)[0], 0, tailc.cols());
                         }
                     }
                     for (std::size_t jj = 0; jj < jn; ++jj)

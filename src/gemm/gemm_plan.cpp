@@ -42,10 +42,11 @@ block_accumulator_bits(const QuantPlan& a, const QuantPlan& b)
 bool
 operand_eligible(const QuantPlan& plan)
 {
-    // int16 mantissa lanes: |M| <= 2^m - 1 must fit, and the AVX2
-    // madd_epi16 pair products must not overflow int32 when paired with
-    // any other eligible operand (15 + 15 + 1 = 31 bits).
-    return plan.m <= 15;
+    // int16 mantissa lanes hold the folded mantissa
+    // |M << (beta - tau)| <= (2^m - 1) * 2^beta, which fits exactly when
+    // m + beta <= 15; the SIMD kernels' int32 pair sums are guarded
+    // separately (detail::simd_fast_path).
+    return plan.m + plan.beta <= 15;
 }
 
 bool
@@ -62,8 +63,9 @@ make_gemm_plan(const QuantPlan& a, const QuantPlan& b)
                  "make_gemm_plan: operand block granularities differ (k1="
                      << a.k1 << " vs " << b.k1 << ")");
     MX_CHECK_ARG(operand_eligible(a) && operand_eligible(b),
-                 "make_gemm_plan: mantissa too wide for the int16 "
-                 "execution view (m=" << a.m << ", " << b.m << ")");
+                 "make_gemm_plan: folded mantissa too wide for the int16 "
+                 "execution view (m+beta=" << a.m + a.beta << ", "
+                                           << b.m + b.beta << ")");
     MX_CHECK_ARG(block_accumulator_bits(a, b) <= 62,
                  "make_gemm_plan: shifted block accumulator would "
                  "overflow int64");

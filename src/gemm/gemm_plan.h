@@ -11,12 +11,13 @@
  *   b_k = Mb_k * 2^(Eb - taub_s - (mb - 1))
  *
  * so the product of any aligned k2 sub-block pair is one integer dot
- * product times one power of two.  A GemmPlan captures everything the
- * execution kernels need to run that pipeline without consulting the
- * format descriptors again: the two QuantPlans, the pairwise sub-step
- * granularity over which the combined shift is constant, the total
- * shift budget (so sub-block partial sums can be aligned with integer
- * left shifts — "a little shifting"), and the combined exponent bias
+ * product times one power of two.  Left-shifting every mantissa by
+ * (beta - tau) — the folded execution view, packed_operand.h — puts a
+ * whole k1-block pair on one common scale: its dot product is a single
+ * integer in units of 2^(Ea + Eb - exp_bias) ("a little shifting").  A
+ * GemmPlan captures everything the execution kernels need to run that
+ * pipeline without consulting the format descriptors again: the two
+ * QuantPlans, the total shift budget, and the combined exponent bias
  * applied once per k1-block pair.
  *
  * The two operands may use different formats (Table IV serves (w, a)
@@ -40,12 +41,14 @@ struct GemmPlan
      * (taua + taub) is constant over g consecutive elements.  With
      * d2 > 0 on both sides this is gcd(k2_a, k2_b); a side with d2 == 0
      * contributes a block-constant (zero) shift, so only the other
-     * side's k2 matters.
+     * side's k2 matters.  Descriptive only: the folded view has
+     * already applied every shift, so no kernel steps by g.
      */
     int g = 0;
 
     /** Total shift budget beta_a + beta_b: the left shift that aligns
-     *  the least-shifted sub-block pair with the most-shifted one. */
+     *  the least-shifted sub-block pair with the most-shifted one (the
+     *  two operands' folds contribute beta_a - taua and beta_b - taub). */
     int budget = 0;
 
     /**
@@ -66,8 +69,8 @@ struct GemmPlan
 
 /**
  * True when the packed-GEMM kernels can execute an (a, b) operand pair:
- * matching k1 block granularity, mantissas narrow enough for the int16
- * execution view, and enough int64 headroom to accumulate a whole
+ * matching k1 block granularity, folded mantissas narrow enough for the
+ * int16 execution view, and enough int64 headroom to accumulate a whole
  * shifted k1-block pair exactly.
  */
 bool gemm_compatible(const core::kernels::QuantPlan& a,
@@ -75,7 +78,8 @@ bool gemm_compatible(const core::kernels::QuantPlan& a,
 
 /**
  * True when a single operand can be decoded into the int16 execution
- * view at all (m <= 15); pairing constraints are gemm_compatible's job.
+ * view at all: its folded mantissas need m + beta <= 15 bits (see
+ * packed_operand.h).  Pairing constraints are gemm_compatible's job.
  */
 bool operand_eligible(const core::kernels::QuantPlan& plan);
 

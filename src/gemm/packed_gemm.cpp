@@ -151,19 +151,17 @@ class ScalarGemmKernel final : public PackedGemmKernel
             const bool first = p0 == 0;
             for (std::size_t i = t.i0; i < t.i1; ++i) {
                 const std::int16_t* am = a.row_mantissa(i);
-                const std::uint8_t* atau = a.row_tau(i);
-                const std::int16_t* aexp = a.row_exp(i);
+                const ExpRow aexp = a.row_exp(i);
                 float* crow = c + i * ldc;
                 for (std::size_t j = t.j0; j < t.j1; ++j) {
                     const std::int16_t* bm = b.row_mantissa(j);
-                    const std::uint8_t* btau = b.row_tau(j);
-                    const std::int16_t* bexp = b.row_exp(j);
+                    const ExpRow bexp = b.row_exp(j);
                     float acc = first ? 0.0f : crow[j];
                     for (std::size_t blk = p0; blk < p1; ++blk) {
                         const std::size_t off = blk * k1;
                         acc += detail::block_contrib(
-                            plan, am, atau, aexp[blk], bm, btau,
-                            bexp[blk], off, std::min(k1, cols - off));
+                            plan, am, aexp[blk], bm, bexp[blk], off,
+                            std::min(k1, cols - off));
                     }
                     crow[j] = acc;
                 }
@@ -182,8 +180,7 @@ class ScalarGemmKernel final : public PackedGemmKernel
             const bool first = p0 == 0;
             for (std::size_t i = t.i0; i < t.i1; ++i) {
                 const std::int16_t* am = a.row_mantissa(i);
-                const std::uint8_t* atau = a.row_tau(i);
-                const std::int16_t* aexp = a.row_exp(i);
+                const ExpRow aexp = a.row_exp(i);
                 float* crow = c + i * ldc;
                 for (std::size_t j = t.j0; j < t.j1; ++j) {
                     float acc = first ? 0.0f : crow[j];
@@ -191,9 +188,9 @@ class ScalarGemmKernel final : public PackedGemmKernel
                         const PackedOperand& chunk = *b[k].op;
                         const std::size_t br = b[k].row_off + j;
                         acc += detail::block_contrib2(
-                            plan, am, atau, aexp[k], k * k1,
-                            chunk.row_mantissa(br), chunk.row_tau(br),
-                            chunk.row_exp(br)[0], 0, chunk.cols());
+                            plan, am, aexp[k], k * k1,
+                            chunk.row_mantissa(br), chunk.row_exp(br)[0],
+                            0, chunk.cols());
                     }
                     crow[j] = acc;
                 }
@@ -367,13 +364,13 @@ dequantize(const PackedOperand& op)
                       static_cast<std::int64_t>(op.cols())});
     for (std::size_t r = 0; r < op.rows(); ++r) {
         const std::int16_t* mant = op.row_mantissa(r);
-        const std::uint8_t* tau = op.row_tau(r);
-        const std::int16_t* exp = op.row_exp(r);
+        const ExpRow exp = op.row_exp(r);
         float* out = t.data() + r * op.cols();
         for (std::size_t k = 0; k < op.cols(); ++k) {
+            // Folded mantissas carry 2^(beta - tau): M' * 2^(E - beta -
+            // (m - 1)) is the grid value M * 2^(E - tau - (m - 1)).
             const int e = exp[k / static_cast<std::size_t>(p.k1)] -
-                          tau[k / static_cast<std::size_t>(p.k2)] -
-                          (p.m - 1);
+                          p.beta - (p.m - 1);
             out[k] = static_cast<float>(
                 static_cast<double>(mant[k]) *
                 core::kernels::detail::pow2_double(e));

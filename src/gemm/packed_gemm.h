@@ -5,30 +5,34 @@
  * mx_gemm: packed-domain matrix multiplication (the Figure 6 pipeline),
  * cache-blocked and multithreaded.
  *
- * Executes C = A * B^T directly on quantized MX/BFP operands — integer
- * mantissa dot products per k2 sub-block, one tau shift per sub-block,
- * one shared-exponent alignment per k1-block pair, FP32 accumulation
- * across blocks — without dequantizing either operand to FP32.  The
- * contract every kernel implementation must honour bit-for-bit, per
- * output element C[i,j], in ascending k1-block order:
+ * Executes C = A * B^T directly on quantized MX/BFP operands — one
+ * integer dot product per k1-block pair over the folded mantissas
+ * (packed_operand.h: M' = M << (beta - tau), the sub-block shifts
+ * already applied), one shared-exponent alignment per pair, FP32
+ * accumulation across blocks — without dequantizing either operand to
+ * FP32.  The contract every kernel implementation must honour
+ * bit-for-bit, per output element C[i,j], in ascending k1-block order:
  *
  *   acc_f32 = 0
  *   for each k1-block pair (Ea, Eb):
- *     blk_i64 = 0
- *     for each pairwise sub-step of g elements (taua, taub constant):
- *       S     = sum_k Ma_k * Mb_k                    // integer dot
- *       blk  += S << (budget - taua - taub)          // tau alignment
+ *     blk_i64  = sum_k Ma'_k * Mb'_k                 // integer dot
  *     acc_f32 += float(double(blk) *
  *                      2^(Ea + Eb - exp_bias))       // exp alignment
  *   C[i,j] = acc_f32
  *
+ * The block integer is the one the shift-per-sub-block form computes:
+ * Ma'_k * Mb'_k = Ma_k * Mb_k << (budget - taua - taub) term by term
+ * (budget = beta_a + beta_b), so summing the folded products is
+ * summing each sub-block dot shifted by its combined tau — the same
+ * exact integer, reassociated.
+ *
  * Every integer step is exact (the GemmPlan proves int64 headroom), so
  * any implementation that reorders the integer work — AVX2 madd lanes,
- * AVX-512 VNNI dot-accumulate lanes, per-sub-block int32 partial sums —
- * produces the same block integer, and the per-block double->float
- * rounding pins the FP result.  The FP32 accumulation across blocks is
- * NOT reorderable, so every execution shape below preserves ascending
- * block order per element:
+ * AVX-512 VNNI dot-accumulate lanes reduced by a transpose tree,
+ * masked tail loads — produces the same block integer, and the
+ * per-block double->float rounding pins the FP result.  The FP32
+ * accumulation across blocks is NOT reorderable, so every execution
+ * shape below preserves ascending block order per element:
  *
  *  - Cache blocking.  The whole-GEMM drivers walk C in (mc x nc) output
  *    tiles (kTileRowsA x kTileRowsB); inside a tile the kernels loop
@@ -53,7 +57,7 @@
  * widths, thread counts, and dispatch legs.
  *
  * Kernel selection rides core/kernels/dispatch's single SIMD level:
- * AVX-512 (VNNI dot products, 2 k1 blocks per 512-bit lane group) when
+ * AVX-512 (VNNI dot products, one vector lane per output column) when
  * the host reports avx512f/bw/vnni, AVX2 otherwise, scalar when forced
  * (same MX_FORCE_SCALAR / MX_FORCE_AVX2 overrides, same
  * set_simd_level test hook).
@@ -100,7 +104,8 @@ struct NnBlockRef
     std::size_t row_off = 0;
 };
 
-/** Half-open output tile [i0, i1) x [j0, j1) of a blocked GEMM. */
+/** Half-open output tile [i0, i1) x [j0, j1) of a blocked GEMM.  Tiles
+ *  come from the fixed grid, so j0 is a multiple of kTileRowsB. */
 struct Tile
 {
     std::size_t i0 = 0, i1 = 0; ///< A-row (C-row) range.
@@ -114,6 +119,10 @@ inline constexpr std::size_t kTileRowsA = 64;
  *  the parallel shard granularity — small enough that a decode-shaped
  *  N still fans out, large enough that a B panel amortizes. */
 inline constexpr std::size_t kTileRowsB = 32;
+
+// A tile's column range starts on an exponent-group boundary, so a
+// 16-column register block reads one contiguous exponent group.
+static_assert(kTileRowsB % kExpGroupRows == 0);
 
 /** k1 blocks per kc panel inside a tile: the contraction slice held
  *  hot while the microkernel sweeps the tile (k1 = 16, int16 mantissas
@@ -307,31 +316,18 @@ namespace detail {
  * per-operand element offsets: @p aoff / @p boff locate the block
  * inside each operand's row (the NT leg walks both rows in lockstep;
  * the NN leg's b-chunks are standalone single-block rows at boff 0).
- * Pointers are whole-row views (PackedOperand::row_mantissa /
- * row_tau); @p n is the block length (k1 or a ragged tail).  Both
- * offsets must be k1-aligned so the tau indexing below lands on
- * sub-block boundaries.
+ * Pointers are whole-row folded-mantissa views
+ * (PackedOperand::row_mantissa); @p n is the block length (k1 or a
+ * ragged tail).
  */
 inline float
-block_contrib2(const GemmPlan& plan, const std::int16_t* am_row,
-               const std::uint8_t* atau_row, int aexp, std::size_t aoff,
-               const std::int16_t* bm_row, const std::uint8_t* btau_row,
-               int bexp, std::size_t boff, std::size_t n)
+block_contrib2(const GemmPlan& plan, const std::int16_t* am_row, int aexp,
+               std::size_t aoff, const std::int16_t* bm_row, int bexp,
+               std::size_t boff, std::size_t n)
 {
-    const std::size_t g = static_cast<std::size_t>(plan.g);
-    const std::size_t k2a = static_cast<std::size_t>(plan.a.k2);
-    const std::size_t k2b = static_cast<std::size_t>(plan.b.k2);
     std::int64_t blk = 0;
-    for (std::size_t s = 0; s < n; s += g) {
-        const std::size_t hi = std::min(n, s + g);
-        std::int64_t dot = 0;
-        for (std::size_t k = s; k < hi; ++k)
-            dot += static_cast<std::int32_t>(am_row[aoff + k]) *
-                   bm_row[boff + k];
-        const int shift = plan.budget - atau_row[(aoff + s) / k2a] -
-                          btau_row[(boff + s) / k2b];
-        blk += dot << shift;
-    }
+    for (std::size_t k = 0; k < n; ++k)
+        blk += static_cast<std::int32_t>(am_row[aoff + k]) * bm_row[boff + k];
     return static_cast<float>(
         static_cast<double>(blk) *
         core::kernels::detail::pow2_double(aexp + bexp - plan.exp_bias));
@@ -339,26 +335,25 @@ block_contrib2(const GemmPlan& plan, const std::int16_t* am_row,
 
 /** The NT-leg special case: one shared offset for both operands. */
 inline float
-block_contrib(const GemmPlan& plan, const std::int16_t* am_row,
-              const std::uint8_t* atau_row, int aexp,
-              const std::int16_t* bm_row, const std::uint8_t* btau_row,
-              int bexp, std::size_t off, std::size_t n)
+block_contrib(const GemmPlan& plan, const std::int16_t* am_row, int aexp,
+              const std::int16_t* bm_row, int bexp, std::size_t off,
+              std::size_t n)
 {
-    return block_contrib2(plan, am_row, atau_row, aexp, off, bm_row,
-                          btau_row, bexp, off, n);
+    return block_contrib2(plan, am_row, aexp, off, bm_row, bexp, off, n);
 }
 
 /**
  * True when (plan) fits the SIMD fast path shared by the AVX2 and
- * AVX-512 kernels: the MX family's k1 = 16, k2 = 2 on both sides, and
- * enough int32 headroom to sum a block's 8 shifted sub-sums (products
- * reach 2^(ma+mb+1) per pair, << budget, x8 sub-blocks).
+ * AVX-512 kernels: k1 = 16 (one 256-bit vector of int16 mantissas per
+ * block) and enough int32 headroom to sum a block's 16 folded products
+ * (each below 2^(ma + beta_a + mb + beta_b), 16 of them, plus sign).
+ * Any d2 qualifies — the folded view carries no per-sub-block shifts —
+ * so plain BFP operands (d2 = 0) take the fast path too.
  */
 inline bool
 simd_fast_path(const GemmPlan& plan)
 {
-    return plan.a.k1 == 16 && plan.a.k2 == 2 && plan.b.k2 == 2 &&
-           plan.a.d2 > 0 && plan.b.d2 > 0 &&
+    return plan.a.k1 == 16 &&
            plan.a.m + plan.b.m + 1 + plan.budget + 3 <= 31;
 }
 

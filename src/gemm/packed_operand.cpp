@@ -31,14 +31,14 @@ PackedOperand::PackedOperand(const QuantPlan& plan, std::size_t rows,
                  "PackedOperand: empty operand [" << rows << " x " << cols
                                                   << "]");
     MX_CHECK_ARG(operand_eligible(plan),
-                 "PackedOperand: mantissa too wide for the int16 "
-                 "execution view (m=" << plan.m << ")");
+                 "PackedOperand: folded mantissa too wide for the int16 "
+                 "execution view (m=" << plan.m << ", beta=" << plan.beta
+                                      << ")");
     blocks_per_row_ = (cols + static_cast<std::size_t>(plan.k1) - 1) /
                       static_cast<std::size_t>(plan.k1);
-    subs_per_row_ = plan.num_sub_blocks(cols);
+    const std::size_t groups = (rows + kExpGroupRows - 1) / kExpGroupRows;
     mantissa_.resize(rows * cols);
-    tau_.assign(rows * subs_per_row_, 0);
-    exp_.resize(rows * blocks_per_row_);
+    exp_.assign(groups * blocks_per_row_ * kExpGroupRows, 0);
 }
 
 std::size_t
@@ -78,33 +78,66 @@ PackedOperand::row_bit_offset(std::size_t r) const
 std::size_t
 PackedOperand::memory_bytes() const
 {
-    return mantissa_.size() * sizeof(std::int16_t) + tau_.size() +
-           exp_.size() * sizeof(std::int16_t);
+    return (mantissa_.size() + exp_.size()) * sizeof(std::int16_t);
 }
 
 namespace {
 
-/** Decode one row's blocks from @p reader into row @p r of the view. */
+/** Fold one block's @p n mantissas: out[i] = mant[i] << (beta - tau of
+ *  i's sub-block); the sub-block index advances every k2 elements. */
+template <typename Mant>
+void
+fold_block(const QuantPlan& plan, const Mant* mant, const std::uint8_t* tau,
+           std::size_t n, std::int16_t* out)
+{
+    const std::size_t k2 = static_cast<std::size_t>(plan.k2);
+    std::size_t s = 0, next = k2;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i == next) {
+            ++s;
+            next += k2;
+        }
+        out[i] = static_cast<std::int16_t>(mant[i] *
+                                           (1 << (plan.beta - tau[s])));
+    }
+}
+
+/** Per-block scratch of the view builders. */
+struct BlockScratch
+{
+    explicit BlockScratch(const QuantPlan& plan)
+        : tau(plan.num_sub_blocks(static_cast<std::size_t>(plan.k1))),
+          raw(static_cast<std::size_t>(plan.k1))
+    {}
+
+    std::vector<std::uint8_t> tau;
+    std::vector<std::int32_t> raw;
+};
+
+/**
+ * Decode one row's blocks from @p reader into the view: folded
+ * mantissas at @p mant, exponents at @p exp (stride kExpGroupRows).
+ */
 void
 decode_row(const QuantPlan& plan, core::BitReader& reader, std::size_t cols,
-           std::int16_t* mant, std::uint8_t* tau, std::int16_t* exp)
+           std::int16_t* mant, std::int16_t* exp, BlockScratch& scratch)
 {
+    std::uint8_t* tau = scratch.tau.data();
+    std::int32_t* raw = scratch.raw.data();
     const std::size_t k1 = static_cast<std::size_t>(plan.k1);
-    std::size_t sub = 0;
-    for (std::size_t off = 0; off < cols; off += k1) {
+    for (std::size_t off = 0; off < cols; off += k1, exp += kExpGroupRows) {
         const std::size_t n = std::min(k1, cols - off);
-        *exp++ = static_cast<std::int16_t>(
+        *exp = static_cast<std::int16_t>(
             static_cast<int>(reader.read(plan.d1)) - plan.e_max);
         const std::size_t n_sub = plan.num_sub_blocks(n);
         for (std::size_t s = 0; s < n_sub; ++s)
-            tau[sub++] = static_cast<std::uint8_t>(reader.read(plan.d2));
+            tau[s] = static_cast<std::uint8_t>(reader.read(plan.d2));
         for (std::size_t i = 0; i < n; ++i) {
             const std::uint64_t code = reader.read(1 + plan.m);
-            const std::int16_t mag = static_cast<std::int16_t>(code >> 1);
-            mant[off + i] = (code & 1) != 0
-                                ? static_cast<std::int16_t>(-mag)
-                                : mag;
+            const auto mag = static_cast<std::int32_t>(code >> 1);
+            raw[i] = (code & 1) != 0 ? -mag : mag;
         }
+        fold_block(plan, raw, tau, n, mant + off);
     }
 }
 
@@ -120,10 +153,10 @@ PackedOperand::decode(const QuantPlan& plan,
                  "PackedOperand::decode: stream too short for ["
                      << rows << " x " << cols << "]");
     core::BitReader reader(bytes);
+    BlockScratch scratch(plan);
     for (std::size_t r = 0; r < rows; ++r)
         decode_row(plan, reader, cols, op.mantissa_.data() + r * cols,
-                   op.tau_.data() + r * op.subs_per_row_,
-                   op.exp_.data() + r * op.blocks_per_row_);
+                   op.exp_.data() + op.exp_index(r), scratch);
     return op;
 }
 
@@ -138,11 +171,11 @@ PackedOperand::decode_rows(const QuantPlan& plan,
                  "PackedOperand::decode_rows: stream holds "
                      << bytes.size() << " bytes, [" << rows << " x " << cols
                      << "] needs " << rows * stride);
+    BlockScratch scratch(plan);
     for (std::size_t r = 0; r < rows; ++r) {
         core::BitReader reader(bytes.subspan(r * stride, stride));
         decode_row(plan, reader, cols, op.mantissa_.data() + r * cols,
-                   op.tau_.data() + r * op.subs_per_row_,
-                   op.exp_.data() + r * op.blocks_per_row_);
+                   op.exp_.data() + op.exp_index(r), scratch);
     }
     return op;
 }
@@ -160,20 +193,16 @@ PackedOperand::quantize(const QuantPlan& plan, const float* x,
     core::Pow2BlockEncoding enc; // reused; assign keeps capacity
     for (std::size_t r = 0; r < rows; ++r) {
         std::int16_t* mant = op.mantissa_.data() + r * cols;
-        std::uint8_t* tau = op.tau_.data() + r * op.subs_per_row_;
-        std::int16_t* exp = op.exp_.data() + r * op.blocks_per_row_;
-        std::size_t sub = 0;
-        for (std::size_t off = 0; off < cols; off += k1) {
+        std::int16_t* exp = op.exp_.data() + op.exp_index(r);
+        for (std::size_t off = 0; off < cols;
+             off += k1, exp += kExpGroupRows) {
             const std::size_t n = std::min(k1, cols - off);
             kernel.quantize_block(
                 plan, std::span<const float>(x + r * cols + off, n),
                 std::span<float>(grid.data(), n), rounder, &enc);
-            *exp++ = static_cast<std::int16_t>(enc.shared_exp);
-            for (std::uint8_t t : enc.sub_shift)
-                tau[sub++] = t;
-            for (std::size_t i = 0; i < n; ++i)
-                mant[off + i] =
-                    static_cast<std::int16_t>(enc.mantissa[i]);
+            *exp = static_cast<std::int16_t>(enc.shared_exp);
+            fold_block(plan, enc.mantissa.data(), enc.sub_shift.data(), n,
+                       mant + off);
         }
     }
     return op;

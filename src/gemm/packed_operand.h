@@ -7,11 +7,28 @@
  * The packed bit stream (formats/block_codec.h layout) is the storage
  * form; a PackedOperand is the same information laid out for the
  * Figure 6 dot-product pipeline to consume directly: int16 mantissas
- * (row-major, SIMD-friendly), per-sub-block shifts at the operand's own
- * k2 granularity, and per-block shared exponents.  Nothing here is a
- * dequantized float — the view stays in the integer domain, which is
- * what lets the packed GEMM run without ever materializing an FP32
- * copy of the operand.
+ * with each sub-block's shift already applied, and per-block shared
+ * exponents.  Nothing here is a dequantized float — the view stays in
+ * the integer domain, which is what lets the packed GEMM run without
+ * ever materializing an FP32 copy of the operand.
+ *
+ * Folded mantissas.  The stream stores a sign-magnitude mantissa M per
+ * element and a sub-shift tau per k2 sub-block; the view stores
+ *
+ *   M' = M << (beta - tau)          (beta = 2^d2 - 1, so tau <= beta)
+ *
+ * so an element's value is M' * 2^(E - beta - (m - 1)) and a block's
+ * whole dot product is one plain integer sum of M'a * M'b — the
+ * sub-block shifts ride the mantissas instead of a per-sub-block
+ * shifter.  |M'| <= (2^m - 1) * 2^beta, which fits int16 exactly when
+ * m + beta <= 15 (operand_eligible).  A plain BFP operand (d2 = 0) has
+ * beta = 0 and M' = M.
+ *
+ * Exponent layout.  Shared exponents are stored in groups of
+ * kExpGroupRows rows, block-major inside a group: the exponents of one
+ * block for 16 consecutive rows are contiguous, so a kernel that gives
+ * each vector lane one B row loads a block's 16 exponents with one
+ * load.  The final group is zero-padded to full height.
  *
  * Two builders cover both GEMM operands:
  *  - decode():   bit stream -> view (weights, built once at freeze);
@@ -36,6 +53,21 @@
 
 namespace mx {
 namespace gemm {
+
+/** Rows per exponent group: one AVX-512 vector of int32 lanes. */
+inline constexpr std::size_t kExpGroupRows = 16;
+
+/** One row's shared exponents inside the grouped layout. */
+struct ExpRow
+{
+    const std::int16_t* p = nullptr;
+
+    std::int16_t
+    operator[](std::size_t blk) const
+    {
+        return p[blk * kExpGroupRows];
+    }
+};
 
 /** Decoded [rows x cols] operand in the packed-GEMM execution layout. */
 class PackedOperand
@@ -86,28 +118,29 @@ class PackedOperand
 
     /** k1-blocks per row (the last may be a short tail). */
     std::size_t blocks_per_row() const { return blocks_per_row_; }
-    /** k2 sub-blocks per row (zero-filled when d2 == 0). */
-    std::size_t subs_per_row() const { return subs_per_row_; }
-
-    /** Row @p r's mantissas (cols entries, |M| <= 2^m - 1). */
+    /** Row @p r's folded mantissas (cols entries,
+     *  |M'| <= (2^m - 1) * 2^beta). */
     const std::int16_t*
     row_mantissa(std::size_t r) const
     {
         return mantissa_.data() + r * cols_;
     }
 
-    /** Row @p r's sub-block shifts (subs_per_row() entries). */
-    const std::uint8_t*
-    row_tau(std::size_t r) const
-    {
-        return tau_.data() + r * subs_per_row_;
-    }
-
-    /** Row @p r's shared exponents (blocks_per_row() entries). */
-    const std::int16_t*
+    /** Row @p r's shared exponents: blocks_per_row() entries, indexed
+     *  by block (a strided view into the grouped layout). */
+    ExpRow
     row_exp(std::size_t r) const
     {
-        return exp_.data() + r * blocks_per_row_;
+        return ExpRow{exp_.data() + exp_index(r)};
+    }
+
+    /** Group @p g's exponents (rows [g * kExpGroupRows, +kExpGroupRows)):
+     *  entry blk * kExpGroupRows + lane is row g * kExpGroupRows + lane's
+     *  block blk; lanes past rows() read 0. */
+    const std::int16_t*
+    group_exp(std::size_t g) const
+    {
+        return exp_.data() + g * blocks_per_row_ * kExpGroupRows;
     }
 
     /** Bit offset of row @p r inside the source packed stream (every
@@ -122,12 +155,20 @@ class PackedOperand
     PackedOperand(const core::kernels::QuantPlan& plan, std::size_t rows,
                   std::size_t cols);
 
+    /** Index of row @p r's block-0 exponent in exp_; its later blocks
+     *  follow at stride kExpGroupRows. */
+    std::size_t
+    exp_index(std::size_t r) const
+    {
+        return (r / kExpGroupRows) * blocks_per_row_ * kExpGroupRows +
+               r % kExpGroupRows;
+    }
+
     core::kernels::QuantPlan plan_;
     std::size_t rows_ = 0, cols_ = 0;
-    std::size_t blocks_per_row_ = 0, subs_per_row_ = 0;
-    std::vector<std::int16_t> mantissa_; ///< rows x cols
-    std::vector<std::uint8_t> tau_;      ///< rows x subs_per_row
-    std::vector<std::int16_t> exp_;      ///< rows x blocks_per_row
+    std::size_t blocks_per_row_ = 0;
+    std::vector<std::int16_t> mantissa_; ///< rows x cols, folded
+    std::vector<std::int16_t> exp_; ///< row groups x blocks x kExpGroupRows
 };
 
 /** Stream bits of one row of @p cols elements under @p plan (the

@@ -6,11 +6,12 @@
  *    (tensor::matmul_nt / nn::qmatmul_nt pinned to a naive
  *    double-accumulation reference across random shapes, ragged k1
  *    tails included, on both kernel dispatch legs);
- *  - scalar, AVX2 and AVX-512/VNNI packed kernels bit-identical for
- *    every MX format pair across shapes, ragged widths, and magnitude
- *    spreads (the AVX-512 suite auto-skips where the host lacks the
- *    ISA), and every entry point bit-identical across MX_GEMM_THREADS
- *    lane counts on tile-crossing shapes;
+ *  - scalar, AVX2 and AVX-512/VNNI packed kernels bit-identical (float
+ *    bit patterns) for every MX / MSFP16 format pair across shapes,
+ *    ragged widths, magnitude spreads and exponent extremes (the
+ *    AVX-512 suite auto-skips where the host lacks the ISA), and every
+ *    entry point bit-identical across MX_GEMM_THREADS lane counts on
+ *    tile-crossing shapes;
  *  - packed execution agrees with the dequantized reference matmul to
  *    FP32-accumulation tolerance, and QSNR vs the FP32 oracle clears
  *    the pinned per-format floor;
@@ -21,7 +22,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -104,6 +108,31 @@ max_abs(const Tensor& t)
     for (std::int64_t i = 0; i < t.numel(); ++i)
         m = std::max(m, std::fabs(static_cast<double>(t.data()[i])));
     return m;
+}
+
+/** Float bit-pattern equality: stricter than max_abs_diff == 0, which
+ *  accepts +0.0 against -0.0. */
+::testing::AssertionResult
+same_bits(const Tensor& a, const Tensor& b)
+{
+    if (a.numel() != b.numel())
+        return ::testing::AssertionFailure()
+               << a.numel() << " vs " << b.numel() << " elements";
+    for (std::int64_t i = 0; i < a.numel(); ++i)
+        if (std::bit_cast<std::uint32_t>(a.data()[i]) !=
+            std::bit_cast<std::uint32_t>(b.data()[i]))
+            return ::testing::AssertionFailure()
+                   << "element " << i << ": " << a.data()[i] << " vs "
+                   << b.data()[i];
+    return ::testing::AssertionSuccess();
+}
+
+/** The MX formats plus MSFP16, a plain BFP side (d2 = 0): every SIMD
+ *  fast path takes both. */
+std::vector<core::BdrFormat>
+pair_formats()
+{
+    return {core::mx9(), core::mx6(), core::mx4(), core::msfp16()};
 }
 
 } // namespace
@@ -215,8 +244,6 @@ TEST(PackedOperand, DecodeEqualsQuantizeAndRowOffsetsAreUniform)
                 for (std::size_t c = 0; c < dec.cols(); ++c)
                     EXPECT_EQ(dec.row_mantissa(r)[c], enc.row_mantissa(r)[c])
                         << fmt.name << " [" << r << "," << c << "]";
-                for (std::size_t s = 0; s < dec.subs_per_row(); ++s)
-                    EXPECT_EQ(dec.row_tau(r)[s], enc.row_tau(r)[s]);
                 for (std::size_t b = 0; b < dec.blocks_per_row(); ++b)
                     EXPECT_EQ(dec.row_exp(r)[b], enc.row_exp(r)[b]);
                 EXPECT_EQ(dec.row_bit_offset(r),
@@ -244,8 +271,15 @@ struct GemmCase
     std::int64_t m, k, n;
 };
 
-const GemmCase kCases[] = {{1, 16, 1},  {4, 19, 6},   {8, 64, 16},
-                           {5, 35, 9},  {16, 128, 24}, {3, 256, 7}};
+const GemmCase kCases[] = {
+    {1, 16, 1},    {4, 19, 6},     {8, 64, 16},  {5, 35, 9},
+    {16, 128, 24}, {3, 256, 7},
+    // Several 16-column groups with a ragged remainder.
+    {1, 38, 128},  {100, 100, 32}, {2, 33, 530},
+    // Serving shapes (m x k x n): d_model <-> FFN projections.
+    {1, 512, 128}, {1, 128, 512},
+    // An odd block count (5) ending in a ragged tail.
+    {3, 71, 20}};
 
 /** Per-format QSNR floor of a packed GEMM against the FP32 oracle on
  *  Gaussian operands — dominated by the quantization error of the two
@@ -326,8 +360,8 @@ TEST(PackedGemm, ScalarAndAvx2BitIdentical)
         !core::kernels::avx2_supported())
         GTEST_SKIP() << "no AVX2 on this host/build";
     stats::Rng rng(105);
-    for (const auto& fa : mx_formats()) {
-        for (const auto& fb : mx_formats()) {
+    for (const auto& fa : pair_formats()) {
+        for (const auto& fb : pair_formats()) {
             for (const GemmCase& cs : kCases) {
                 Tensor x = spread_randn(cs.m, cs.k, rng);
                 Tensor w = spread_randn(cs.n, cs.k, rng);
@@ -344,7 +378,7 @@ TEST(PackedGemm, ScalarAndAvx2BitIdentical)
                 Tensor cs_out({cs.m, cs.n}), cv_out({cs.m, cs.n});
                 gemm::scalar_gemm_kernel().gemm(plan, a, b, cs_out.data());
                 gemm::avx2_gemm_kernel()->gemm(plan, a, b, cv_out.data());
-                EXPECT_EQ(tensor::max_abs_diff(cs_out, cv_out), 0.0)
+                EXPECT_TRUE(same_bits(cs_out, cv_out))
                     << fa.name << " x " << fb.name << " [" << cs.m << ","
                     << cs.k << "," << cs.n << "]";
             }
@@ -365,7 +399,7 @@ TEST(PackedGemm, DispatchLegsProduceIdenticalResults)
         core::kernels::set_force_scalar(true);
         Tensor scalar = gemm::matmul_nt_packed(x, plan, *f.gemm_operand());
         core::kernels::set_force_scalar(false);
-        EXPECT_EQ(tensor::max_abs_diff(deflt, scalar), 0.0) << fmt.name;
+        EXPECT_TRUE(same_bits(deflt, scalar)) << fmt.name;
     }
 }
 
@@ -726,8 +760,6 @@ TEST(PackedOperand, AlignedRowStreamAppendsAndDecodesExactly)
                     EXPECT_EQ(dec.row_mantissa(r)[c],
                               enc.row_mantissa(r)[c])
                         << fmt.name << " [" << r << "," << c << "]";
-                for (std::size_t s = 0; s < dec.subs_per_row(); ++s)
-                    EXPECT_EQ(dec.row_tau(r)[s], enc.row_tau(r)[s]);
                 for (std::size_t b = 0; b < dec.blocks_per_row(); ++b)
                     EXPECT_EQ(dec.row_exp(r)[b], enc.row_exp(r)[b]);
             }
@@ -920,8 +952,8 @@ TEST(PackedGemmAvx512, ScalarAndAvx512BitIdentical)
         !core::kernels::avx512_supported())
         GTEST_SKIP() << "no AVX-512/VNNI on this host/build";
     stats::Rng rng(132);
-    for (const auto& fa : mx_formats()) {
-        for (const auto& fb : mx_formats()) {
+    for (const auto& fa : pair_formats()) {
+        for (const auto& fb : pair_formats()) {
             for (const GemmCase& cs : kCases) {
                 Tensor x = spread_randn(cs.m, cs.k, rng);
                 Tensor w = spread_randn(cs.n, cs.k, rng);
@@ -940,11 +972,90 @@ TEST(PackedGemmAvx512, ScalarAndAvx512BitIdentical)
                                                 cs_out.data());
                 gemm::avx512_gemm_kernel()->gemm(plan, a, b,
                                                  cv_out.data());
-                EXPECT_EQ(tensor::max_abs_diff(cs_out, cv_out), 0.0)
+                EXPECT_TRUE(same_bits(cs_out, cv_out))
                     << fa.name << " x " << fb.name << " [" << cs.m << ","
                     << cs.k << "," << cs.n << "]";
             }
         }
+    }
+
+    // Exponent extremes: per-row scales near FLT_MAX, near FLT_MIN and
+    // in the denormal range push Ea + Eb - exp_bias to both ends of what
+    // a d1 = 8 format can produce (the vector 2^e epilogue), and a
+    // d1 = 11 format's exponent field leaves the normal double range,
+    // so its tiles take the scalar pow2_double / ldexp epilogue (its
+    // all-zero row sits at e_min = -1023).  FLT_MAX-scaled pairs
+    // overflow to inf or NaN, which must match bit for bit too.
+    const float scales[] = {0.5f * FLT_MAX, 1e30f,       4.0f * FLT_MIN,
+                            FLT_MIN,         1e-40f,      1e-44f,
+                            1.0f,            0.25f * FLT_MAX};
+    const auto extreme_rows = [&](std::int64_t rows, std::int64_t cols) {
+        Tensor t({rows, cols});
+        for (std::int64_t r = 0; r < rows; ++r)
+            for (std::int64_t c = 0; c < cols; ++c)
+                t.data()[r * cols + c] =
+                    r == 2 ? 0.0f
+                           : static_cast<float>(rng.uniform(-1.0, 1.0)) *
+                                 scales[static_cast<std::size_t>(r) % 8];
+        return t;
+    };
+    for (const auto& fmt : {core::mx9(), core::msfp16(),
+                            core::mx_custom(7, 11, 16, 1, 2)}) {
+        const QuantPlan plan = make_quant_plan(fmt);
+        const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
+        for (const GemmCase& cs :
+             {GemmCase{8, 71, 40}, GemmCase{3, 32, 17}}) {
+            Tensor x = extreme_rows(cs.m, cs.k);
+            Tensor w = extreme_rows(cs.n, cs.k);
+            core::Rounder rounder;
+            const auto a = gemm::PackedOperand::quantize(
+                plan, x.data(), static_cast<std::size_t>(cs.m),
+                static_cast<std::size_t>(cs.k), rounder);
+            const auto b = gemm::PackedOperand::quantize(
+                plan, w.data(), static_cast<std::size_t>(cs.n),
+                static_cast<std::size_t>(cs.k), rounder);
+            Tensor cs_out({cs.m, cs.n}), cv_out({cs.m, cs.n});
+            gemm::scalar_gemm_kernel().gemm(gp, a, b, cs_out.data());
+            gemm::avx512_gemm_kernel()->gemm(gp, a, b, cv_out.data());
+            EXPECT_TRUE(same_bits(cs_out, cv_out))
+                << "extremes " << fmt.name << " [" << cs.m << "," << cs.k
+                << "," << cs.n << "]";
+        }
+    }
+
+    // Float inputs never lift a d1 = 11 exponent past 127, but a stored
+    // stream can: set every row's first exponent field (and the bits
+    // after it) to ones, so block 0 decodes at E = 2^11 - 1 - e_max =
+    // 1024 and Ea + Eb - exp_bias lies past 1023 — the scalar fallback
+    // turns it into inf, which the vector 2^e bit pattern cannot.
+    {
+        const QuantPlan plan =
+            make_quant_plan(core::mx_custom(7, 11, 16, 1, 2));
+        const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
+        const std::int64_t m = 3, n = 20;
+        const std::size_t k = 40;
+        const std::size_t stride = gemm::row_stream_bytes(plan, k);
+        const auto packed = [&](std::int64_t rows) {
+            Tensor t = Tensor::randn(
+                {rows, static_cast<std::int64_t>(k)}, rng, 1.0f);
+            std::vector<std::uint8_t> bytes;
+            core::Rounder rounder;
+            const auto urows = static_cast<std::size_t>(rows);
+            gemm::pack_rows_aligned(plan, t.data(), urows, k, rounder,
+                                    bytes);
+            for (std::size_t r = 0; r < urows; ++r)
+                bytes[r * stride] = bytes[r * stride + 1] = 0xFF;
+            return gemm::PackedOperand::decode_rows(plan, bytes, urows, k);
+        };
+        const auto a = packed(m);
+        const auto b = packed(n);
+        ASSERT_EQ(a.row_exp(0)[0], 1024);
+        Tensor cs_out({m, n}), cv_out({m, n});
+        gemm::scalar_gemm_kernel().gemm(gp, a, b, cs_out.data());
+        gemm::avx512_gemm_kernel()->gemm(gp, a, b, cv_out.data());
+        EXPECT_TRUE(std::isinf(cs_out.data()[0]) ||
+                    std::isnan(cs_out.data()[0]));
+        EXPECT_TRUE(same_bits(cs_out, cv_out)) << "E = 1024 stream";
     }
 }
 
@@ -995,8 +1106,7 @@ TEST(PackedGemmAvx512, NnLegBitIdenticalToScalar)
                 gp, aop, refs, static_cast<std::size_t>(n), sc.data());
             gemm::avx512_gemm_kernel()->gemm_nn(
                 gp, aop, refs, static_cast<std::size_t>(n), vn.data());
-            EXPECT_EQ(tensor::max_abs_diff(sc, vn), 0.0)
-                << fmt.name << " k=" << k;
+            EXPECT_TRUE(same_bits(sc, vn)) << fmt.name << " k=" << k;
         }
     }
 }
