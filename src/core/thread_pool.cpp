@@ -1,6 +1,7 @@
 #include "core/thread_pool.h"
 
 #include <algorithm>
+#include <chrono>
 
 #include "core/env.h"
 #include "obs/obs.h"
@@ -12,6 +13,24 @@ namespace {
 
 /** True while the current thread is executing pool work. */
 thread_local bool tl_in_pool = false;
+
+/** Poll @p done, yielding between polls, for up to kSpinWindow; true
+ *  as soon as it holds, false if the window ran out first. */
+template <typename Pred>
+bool
+spin_until(const Pred& done)
+{
+    using Clock = std::chrono::steady_clock;
+    const Clock::time_point deadline = Clock::now() + ThreadPool::kSpinWindow;
+    for (unsigned polls = 1;; ++polls) {
+        if (done())
+            return true;
+        // Reading the clock costs more than a poll; look every 64th.
+        if (polls % 64 == 0 && Clock::now() >= deadline)
+            return false;
+        std::this_thread::yield();
+    }
+}
 
 } // namespace
 
@@ -40,6 +59,7 @@ ThreadPool::~ThreadPool()
     {
         LockGuard lk(mu_);
         stop_ = true;
+        generation_.fetch_add(1, std::memory_order_release); // end polls
     }
     work_cv_.notify_all();
     // run_mu_ makes the workers_ read provable; it cannot contend —
@@ -104,6 +124,9 @@ ThreadPool::worker_loop()
     obs::set_thread_name("pool-worker");
     std::uint64_t seen = 0;
     for (;;) {
+        spin_until([&] {
+            return generation_.load(std::memory_order_acquire) != seen;
+        });
         // Snapshot the job under the lock; the work loop runs on the
         // snapshot so it never touches the guarded fields lock-free.
         const std::function<void(std::size_t)>* body = nullptr;
@@ -111,23 +134,28 @@ ThreadPool::worker_loop()
         std::size_t chunk = 1;
         {
             UniqueLock lk(mu_);
-            while (!stop_ && generation_ == seen)
+            while (!stop_ &&
+                   generation_.load(std::memory_order_relaxed) == seen)
                 lk.wait(work_cv_);
             if (stop_)
                 return;
-            seen = generation_;
-            if (!body_)
-                continue; // woke after the job already finished
-            ++active_;
+            seen = generation_.load(std::memory_order_relaxed);
+            // Woke after the job finished, or after every index was
+            // claimed: nothing to do, and joining would only hold the
+            // caller up.
+            if (!body_ || next_.load(std::memory_order_relaxed) >= n_)
+                continue;
+            active_.fetch_add(1, std::memory_order_relaxed);
             body = body_;
             n = n_;
             chunk = chunk_;
         }
         run_items(*body, n, chunk);
-        {
+        if (active_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+            // The caller may be blocked on done_cv_: notify under mu_
+            // so the wake-up cannot fall between its check and wait.
             LockGuard lk(mu_);
-            if (--active_ == 0)
-                done_cv_.notify_all();
+            done_cv_.notify_all();
         }
     }
 }
@@ -161,18 +189,25 @@ ThreadPool::parallel_for(std::size_t n,
         chunk_ = chunk;
         next_.store(0, std::memory_order_relaxed);
         error_ = nullptr;
-        ++generation_;
+        generation_.fetch_add(1, std::memory_order_release);
     }
-    work_cv_.notify_all();
+    work_cv_.notify_all(); // no syscall when every worker is polling
     run_items(body, n, chunk); // the caller is a lane too
     std::exception_ptr err;
-    {
+    for (;;) {
+        const bool drained = spin_until(
+            [&] { return active_.load(std::memory_order_acquire) == 0; });
+        // Under mu_ no worker can join (it raises active_ under mu_
+        // and only while body_ is set), so 0 here means done.
         UniqueLock lk(mu_);
-        while (active_ != 0)
+        if (drained && active_.load(std::memory_order_acquire) != 0)
+            continue; // a lane joined after the poll: poll it out too
+        while (active_.load(std::memory_order_acquire) != 0)
             lk.wait(done_cv_);
         body_ = nullptr;
         err = error_;
         error_ = nullptr;
+        break;
     }
     if (err)
         std::rethrow_exception(err);

@@ -17,13 +17,17 @@
  *    are identical for any thread count (the sweep determinism test in
  *    tests/test_sweep.cpp pins this);
  *  - nested/concurrent parallel_for calls degrade gracefully: a call
- *    from inside a pool lane runs inline on that lane.
+ *    from inside a pool lane runs inline on that lane;
+ *  - idle lanes spin (yielding) for kSpinWindow before they block, so
+ *    back-to-back loops — a model step's GEMMs — hand work to awake
+ *    lanes instead of paying a condition-variable wake-up per call.
  *
  * Exceptions thrown by body are caught, the loop drained, and the first
  * one rethrown on the calling thread.
  */
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -73,6 +77,16 @@ class ThreadPool
     /** The lane count a default-constructed pool resolves to. */
     static std::size_t default_thread_count();
 
+    /**
+     * How long an idle lane (a worker between jobs, the caller waiting
+     * for stragglers) polls before it blocks on a condition variable.
+     * A blocked worker costs tens of microseconds to wake on a VM —
+     * as much as a whole small GEMM — while a polling lane sees new
+     * work within about a microsecond.  The poll yields, so a lane
+     * another thread needs is given up.
+     */
+    static constexpr std::chrono::microseconds kSpinWindow{200};
+
   private:
     void ensure_started() MX_REQUIRES(run_mu_);
     void worker_loop() MX_EXCLUDES(mu_);
@@ -91,9 +105,14 @@ class ThreadPool
     Mutex mu_; ///< Guards the per-job fields below.
     std::condition_variable work_cv_;
     std::condition_variable done_cv_;
-    std::uint64_t generation_ MX_GUARDED_BY(mu_) = 0;
+    /// Job counter.  Written under mu_ (so a blocked worker cannot miss
+    /// a bump) and polled lock-free by idle workers.
+    std::atomic<std::uint64_t> generation_{0};
     bool stop_ MX_GUARDED_BY(mu_) = false;
-    std::size_t active_ MX_GUARDED_BY(mu_) = 0;
+    /// Workers inside run_items.  Raised under mu_ (only while body_ is
+    /// set), lowered lock-free; the caller polls it, then waits under
+    /// mu_ for it to reach 0.
+    std::atomic<std::size_t> active_{0};
     const std::function<void(std::size_t)>* body_ MX_GUARDED_BY(mu_) =
         nullptr;
     std::size_t n_ MX_GUARDED_BY(mu_) = 0;

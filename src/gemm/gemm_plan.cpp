@@ -1,7 +1,5 @@
 #include "gemm/gemm_plan.h"
 
-#include <numeric>
-
 #include "core/check.h"
 
 namespace mx {
@@ -73,11 +71,6 @@ make_gemm_plan(const QuantPlan& a, const QuantPlan& b)
     GemmPlan p;
     p.a = a;
     p.b = b;
-    // A side without sub-shifts (d2 == 0) has a block-constant shift, so
-    // the pairwise-constant granularity is governed by the other side.
-    const int ga = a.d2 > 0 ? a.k2 : a.k1;
-    const int gb = b.d2 > 0 ? b.k2 : b.k1;
-    p.g = std::gcd(ga, gb);
     p.budget = a.beta + b.beta;
     p.exp_bias = (a.m - 1) + (b.m - 1) + p.budget;
     return p;

@@ -36,16 +36,6 @@ struct GemmPlan
     /** Operand plans: a = left/activations, b = right/weights. */
     core::kernels::QuantPlan a, b;
 
-    /**
-     * Pairwise sub-step granularity: the combined shift
-     * (taua + taub) is constant over g consecutive elements.  With
-     * d2 > 0 on both sides this is gcd(k2_a, k2_b); a side with d2 == 0
-     * contributes a block-constant (zero) shift, so only the other
-     * side's k2 matters.  Descriptive only: the folded view has
-     * already applied every shift, so no kernel steps by g.
-     */
-    int g = 0;
-
     /** Total shift budget beta_a + beta_b: the left shift that aligns
      *  the least-shifted sub-block pair with the most-shifted one (the
      *  two operands' folds contribute beta_a - taua and beta_b - taub). */

@@ -214,8 +214,11 @@ std::map<std::size_t, std::unique_ptr<core::ThreadPool>>*
 core::ThreadPool&
 pool_for(std::size_t threads)
 {
-    if (threads == core::ThreadPool::default_thread_count())
-        return core::ThreadPool::shared();
+    // The shared pool's own lane count, not default_thread_count(): that
+    // re-reads MX_THREADS and the online-CPU list (~6 us) on every call.
+    core::ThreadPool& shared = core::ThreadPool::shared();
+    if (threads == shared.thread_count())
+        return shared;
     core::LockGuard lk(g_pools_mu);
     if (g_pools == nullptr)
         g_pools =

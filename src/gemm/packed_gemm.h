@@ -116,9 +116,11 @@ struct Tile
 inline constexpr std::size_t kTileRowsA = 64;
 
 /** Output-tile width: B rows / NN cols per tile (the nc factor).  Also
- *  the parallel shard granularity — small enough that a decode-shaped
- *  N still fans out, large enough that a B panel amortizes. */
-inline constexpr std::size_t kTileRowsB = 32;
+ *  the parallel shard granularity.  One AVX-512 column group: that
+ *  kernel's B panel is one group at any tile width, so the narrow tile
+ *  costs nothing serially, while a GEMM with few column groups still
+ *  spreads evenly over the lanes (48x192x192 gives 4 lanes 12 tiles). */
+inline constexpr std::size_t kTileRowsB = 16;
 
 // A tile's column range starts on an exponent-group boundary, so a
 // 16-column register block reads one contiguous exponent group.

@@ -102,7 +102,7 @@ TEST(BuildSanity, GemmPlansLink)
 {
     auto plan = core::kernels::make_quant_plan(core::mx9());
     EXPECT_TRUE(gemm::gemm_compatible(plan, plan));
-    EXPECT_EQ(gemm::make_gemm_plan(plan, plan).g, 2);
+    EXPECT_EQ(gemm::make_gemm_plan(plan, plan).budget, 2);
 }
 
 TEST(BuildSanity, HwCostModelLinks)

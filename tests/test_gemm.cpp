@@ -188,7 +188,6 @@ TEST(GemmPlan, MxPairsAreCompatibleAndPlanned)
             ASSERT_TRUE(gemm::gemm_compatible(a, b))
                 << fa.name << " x " << fb.name;
             const gemm::GemmPlan p = gemm::make_gemm_plan(a, b);
-            EXPECT_EQ(p.g, 2);
             EXPECT_EQ(p.budget, 2);
             EXPECT_EQ(p.exp_bias, (a.m - 1) + (b.m - 1) + 2);
         }
@@ -201,7 +200,6 @@ TEST(GemmPlan, BfpSideUsesBlockConstantShift)
     const QuantPlan bfp = make_quant_plan(core::msfp16());
     ASSERT_TRUE(gemm::gemm_compatible(mx, bfp));
     const gemm::GemmPlan p = gemm::make_gemm_plan(mx, bfp);
-    EXPECT_EQ(p.g, 2);       // governed by the MX side's k2
     EXPECT_EQ(p.budget, 1);  // only the MX side shifts
 }
 
@@ -215,6 +213,17 @@ TEST(GemmPlan, MismatchedK1AndWideMantissaRejected)
     const QuantPlan wide = make_quant_plan(core::bfp_custom(23, 8, 16));
     EXPECT_FALSE(gemm::operand_eligible(wide));
     EXPECT_FALSE(gemm::gemm_compatible(a, wide));
+
+    // The folded mantissa M << (beta - tau) needs m + beta <= 15 bits:
+    // d2 = 2 gives beta = 3, so m = 12 is the widest eligible mantissa.
+    const QuantPlan edge = make_quant_plan(core::mx_custom(12, 8, 16, 2, 4));
+    EXPECT_TRUE(gemm::operand_eligible(edge));
+    EXPECT_TRUE(gemm::gemm_compatible(a, edge));
+    EXPECT_NO_THROW(gemm::make_gemm_plan(a, edge));
+    const QuantPlan over = make_quant_plan(core::mx_custom(13, 8, 16, 2, 4));
+    EXPECT_FALSE(gemm::operand_eligible(over));
+    EXPECT_FALSE(gemm::gemm_compatible(a, over));
+    EXPECT_THROW(gemm::make_gemm_plan(a, over), ArgumentError);
 }
 
 // ---------------------------------------------------------------------------
@@ -808,7 +817,7 @@ for_each_simd_level(Fn&& body)
 }
 
 /** Shapes that cross the tile grid: rows past kTileRowsA = 64, cols
- *  past kTileRowsB = 32, ragged contraction tails, exact boundaries. */
+ *  past kTileRowsB = 16, ragged contraction tails, exact boundaries. */
 const GemmCase kTiledCases[] = {{70, 67, 70},
                                 {64, 48, 32},
                                 {9, 256, 33},

@@ -7,8 +7,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/thread_pool.h"
@@ -37,6 +39,22 @@ TEST(ThreadPool, ReusableAcrossCalls)
                           [&](std::size_t i) { sum.fetch_add(i + 1); });
         const std::size_t n = static_cast<std::size_t>(round * 7 + 1);
         EXPECT_EQ(sum.load(), n * (n + 1) / 2);
+    }
+}
+
+TEST(ThreadPool, ReturnsOnlyAfterSlowLanesFinish)
+{
+    // Each body outlasts ThreadPool::kSpinWindow, so the caller's wait
+    // for the other lanes falls back from polling to blocking.
+    ThreadPool pool(4);
+    for (int round = 0; round < 3; ++round) {
+        std::vector<std::atomic<int>> done(8);
+        pool.parallel_for(done.size(), [&](std::size_t i) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+            done[i].store(1);
+        });
+        for (std::size_t i = 0; i < done.size(); ++i)
+            ASSERT_EQ(done[i].load(), 1) << "index " << i;
     }
 }
 
