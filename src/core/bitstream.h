@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/check.h"
@@ -36,6 +37,14 @@ namespace core {
 class BitWriter
 {
   public:
+    BitWriter() = default;
+
+    /** Append to @p bytes, starting on the byte boundary after them. */
+    explicit BitWriter(std::vector<std::uint8_t> bytes)
+        : bytes_(std::move(bytes))
+    {
+    }
+
     /** Append the low @p bits of @p value (bits in [0, 64]). */
     void
     write(std::uint64_t value, int bits)
@@ -53,6 +62,10 @@ class BitWriter
             bit_pos_ = (bit_pos_ + take) & 7;
         }
     }
+
+    /** Close the current partial byte (zero-padded), so the next
+     *  field starts on a byte boundary. */
+    void align() { bit_pos_ = 0; }
 
     /** Total number of bits written. */
     std::size_t

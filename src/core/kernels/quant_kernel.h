@@ -22,12 +22,21 @@
  *
  * Selection happens at runtime in kernels/dispatch.h (CPU feature probe,
  * overridable with MX_FORCE_SCALAR=1).
+ *
+ * The packed block layout has one writer and one reader, both below in
+ * namespace detail: write_block_bits emits a block for every kernel's
+ * fused quantize+pack, and read_block_bits is its exact inverse, the
+ * only loop in the tree that reads pow2 blocks back (PackedOperand's
+ * decoders, formats::unpack, the frozen row decode).  Keeping the pair
+ * side by side keeps the layout defined in one place.
  */
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <vector>
 
@@ -225,6 +234,93 @@ write_block_bits(const QuantPlan& plan, int shared_exp,
             static_cast<std::uint64_t>(man < 0 ? -man : man);
         w.write(sign | (mag << 1), 1 + plan.m);
     }
+}
+
+/**
+ * Little-endian 64-bit window of @p bytes starting at byte @p at (which
+ * must be < @p size); bytes past @p size read as zero, so the final
+ * window never touches memory beyond the buffer.
+ */
+inline std::uint64_t
+load_le64(const std::uint8_t* bytes, std::size_t size, std::size_t at)
+{
+    std::uint64_t v = 0;
+    if (size - at >= sizeof v)
+        std::memcpy(&v, bytes + at, sizeof v);
+    else
+        std::memcpy(&v, bytes + at, size - at);
+    if constexpr (std::endian::native == std::endian::big)
+        v = __builtin_bswap64(v);
+    return v;
+}
+
+/**
+ * Read one block's fields back from the packed stream — the exact
+ * inverse of write_block_bits, and the one read loop of the pow2 block
+ * layout (PackedOperand's decoders, formats::unpack and the frozen row
+ * decode all go through it).
+ *
+ * The block starts at bit @p pos of the @p size bytes at @p bytes;
+ * @p pos advances past it.  @p taus receives @p n_sub sub-shifts,
+ * @p mant the @p n signed mantissas.  Returns the unbiased shared
+ * exponent.
+ *
+ * Fields come out of unaligned little-endian 64-bit window loads, as
+ * many whole fields per window as fit (every field is at most 24 bits
+ * wide); byte-aligned 8-bit codes (MX9) are read a byte at a time.
+ * There is no bounds check per field: the caller checks once per
+ * stream that the block lies inside the buffer.
+ */
+inline int
+read_block_bits(const QuantPlan& plan, const std::uint8_t* bytes,
+                std::size_t size, std::size_t& pos, std::uint8_t* taus,
+                std::size_t n_sub, std::int32_t* mant, std::size_t n)
+{
+    std::size_t p = pos; // a local, so stores through taus cannot alias it
+    // Hand @p count consecutive @p bits-wide fields to @p put.  A window
+    // loaded at bit p holds at least 57 valid bits (p & 7 <= 7), so it
+    // covers 57 / bits whole fields.
+    auto fields = [&](std::size_t count, int bits, auto put) {
+        const std::uint64_t mask = (std::uint64_t{1} << bits) - 1;
+        const std::size_t per = static_cast<std::size_t>(57 / bits);
+        for (std::size_t i = 0; i < count;) {
+            std::uint64_t w = load_le64(bytes, size, p >> 3) >> (p & 7);
+            const std::size_t end = std::min(count, i + per);
+            p += (end - i) * static_cast<std::size_t>(bits);
+            for (; i < end; ++i, w >>= bits)
+                put(i, w & mask);
+        }
+    };
+    const int shared_exp =
+        static_cast<int>((load_le64(bytes, size, p >> 3) >> (p & 7)) &
+                         ((std::uint64_t{1} << plan.d1) - 1)) -
+        plan.e_max;
+    p += static_cast<std::size_t>(plan.d1);
+    if (plan.d2 == 0) {
+        std::fill_n(taus, n_sub, std::uint8_t{0});
+    } else {
+        fields(n_sub, plan.d2, [&](std::size_t s, std::uint64_t tau) {
+            taus[s] = static_cast<std::uint8_t>(tau);
+        });
+    }
+    if (plan.m == 7 && (p & 7) == 0) {
+        // One code per byte; __restrict lets the loop vectorize (a byte
+        // pointer may otherwise alias the mantissa stores).
+        const std::uint8_t* __restrict code = bytes + (p >> 3);
+        std::int32_t* __restrict out = mant;
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::int32_t mag = code[i] >> 1;
+            out[i] = (code[i] & 1) != 0 ? -mag : mag;
+        }
+        p += 8 * n;
+    } else {
+        fields(n, 1 + plan.m, [&](std::size_t i, std::uint64_t code) {
+            const auto mag = static_cast<std::int32_t>(code >> 1);
+            mant[i] = (code & 1) != 0 ? -mag : mag;
+        });
+    }
+    pos = p;
+    return shared_exp;
 }
 
 } // namespace detail

@@ -43,31 +43,27 @@ pack_pow2(const BdrFormat& fmt, std::span<const float> values,
 }
 
 void
-unpack_pow2(const BdrFormat& fmt, std::size_t n, BitReader& r,
-            std::vector<float>& out)
+unpack_pow2(const BdrFormat& fmt, std::size_t n,
+            std::span<const std::uint8_t> bytes, std::vector<float>& out)
 {
     const core::kernels::QuantPlan plan = core::kernels::make_quant_plan(fmt);
+    const std::size_t bits = packed_bits(fmt, n);
+    MX_CHECK_ARG(bytes.size() * 8 >= bits,
+                 "unpack: " << fmt.name << " stream holds " << bytes.size()
+                            << " bytes, " << n << " elements need " << bits
+                            << " bits");
     const core::kernels::QuantKernel& kernel = core::kernels::active_kernel();
     const std::size_t k1 = static_cast<std::size_t>(fmt.k1);
-    const int exp_bias = plan.e_max;
     out.resize(n);
-    Pow2BlockEncoding enc; // reused across blocks (assign keeps capacity)
+    Pow2BlockEncoding enc; // reused across blocks (resize keeps capacity)
+    std::size_t pos = 0;
     for (std::size_t off = 0; off < n; off += k1) {
         const std::size_t len = std::min(k1, n - off);
-        enc.shared_exp = static_cast<int>(r.read(fmt.d1)) - exp_bias;
-        const std::size_t n_sub = plan.num_sub_blocks(len);
-        enc.sub_shift.assign(n_sub, 0);
-        for (std::size_t s = 0; s < n_sub; ++s)
-            enc.sub_shift[s] = fmt.d2 > 0
-                ? static_cast<std::uint8_t>(r.read(fmt.d2))
-                : 0;
-        enc.mantissa.assign(len, 0);
-        for (std::size_t i = 0; i < len; ++i) {
-            const std::uint64_t code = r.read(1 + fmt.m);
-            const bool neg = (code & 1) != 0;
-            const std::int32_t mag = static_cast<std::int32_t>(code >> 1);
-            enc.mantissa[i] = neg ? -mag : mag;
-        }
+        enc.sub_shift.resize(plan.num_sub_blocks(len));
+        enc.mantissa.resize(len);
+        enc.shared_exp = core::kernels::detail::read_block_bits(
+            plan, bytes.data(), bytes.size(), pos, enc.sub_shift.data(),
+            enc.sub_shift.size(), enc.mantissa.data(), len);
         kernel.dequantize_block(plan, enc,
                                 std::span<float>(out.data() + off, len));
     }
@@ -237,7 +233,7 @@ unpack(const PackedTensor& packed)
     const BdrFormat& fmt = packed.format;
     switch (fmt.elem) {
       case ElementKind::SignMagnitude:
-        unpack_pow2(fmt, packed.num_elements, r, out);
+        unpack_pow2(fmt, packed.num_elements, packed.bytes, out);
         break;
       case ElementKind::TwosComplement:
         if (fmt.ss_kind == ScaleKind::IntHw)

@@ -54,18 +54,22 @@ pack_rows_aligned(const QuantPlan& plan, const float* x, std::size_t rows,
 {
     const core::kernels::QuantKernel& kernel =
         core::kernels::active_kernel();
-    const std::size_t stride = row_stream_bytes(plan, cols);
+    const std::size_t expect =
+        out.size() + rows * row_stream_bytes(plan, cols);
+    if (out.empty())
+        out.reserve(expect);
+    // One writer appends every row in place, byte-aligned between rows:
+    // BitWriter zero-pads the partial byte align() closes, which is
+    // exactly the byte-aligned row boundary.
+    core::BitWriter w(std::move(out));
     for (std::size_t r = 0; r < rows; ++r) {
-        // One writer per row: BitWriter zero-pads its final partial
-        // byte, which is exactly the byte-aligned row boundary.
-        core::BitWriter w;
         kernel.quantize_pack_rows(plan, x + r * cols, 1, cols, rounder, w);
-        std::vector<std::uint8_t> bytes = w.take();
-        MX_CHECK(bytes.size() == stride,
-                 "pack_rows_aligned: row packed to " << bytes.size()
-                     << " bytes, expected " << stride);
-        out.insert(out.end(), bytes.begin(), bytes.end());
+        w.align();
     }
+    out = w.take();
+    MX_CHECK(out.size() == expect, "pack_rows_aligned: stream grew to "
+                                       << out.size() << " bytes, expected "
+                                       << expect);
 }
 
 std::size_t
@@ -102,62 +106,45 @@ fold_block(const QuantPlan& plan, const Mant* mant, const std::uint8_t* tau,
     }
 }
 
-/** Per-block scratch of the view builders. */
-struct BlockScratch
-{
-    explicit BlockScratch(const QuantPlan& plan)
-        : tau(plan.num_sub_blocks(static_cast<std::size_t>(plan.k1))),
-          raw(static_cast<std::size_t>(plan.k1))
-    {}
-
-    std::vector<std::uint8_t> tau;
-    std::vector<std::int32_t> raw;
-};
-
-/**
- * Decode one row's blocks from @p reader into the view: folded
- * mantissas at @p mant, exponents at @p exp (stride kExpGroupRows).
- */
-void
-decode_row(const QuantPlan& plan, core::BitReader& reader, std::size_t cols,
-           std::int16_t* mant, std::int16_t* exp, BlockScratch& scratch)
-{
-    std::uint8_t* tau = scratch.tau.data();
-    std::int32_t* raw = scratch.raw.data();
-    const std::size_t k1 = static_cast<std::size_t>(plan.k1);
-    for (std::size_t off = 0; off < cols; off += k1, exp += kExpGroupRows) {
-        const std::size_t n = std::min(k1, cols - off);
-        *exp = static_cast<std::int16_t>(
-            static_cast<int>(reader.read(plan.d1)) - plan.e_max);
-        const std::size_t n_sub = plan.num_sub_blocks(n);
-        for (std::size_t s = 0; s < n_sub; ++s)
-            tau[s] = static_cast<std::uint8_t>(reader.read(plan.d2));
-        for (std::size_t i = 0; i < n; ++i) {
-            const std::uint64_t code = reader.read(1 + plan.m);
-            const auto mag = static_cast<std::int32_t>(code >> 1);
-            raw[i] = (code & 1) != 0 ? -mag : mag;
-        }
-        fold_block(plan, raw, tau, n, mant + off);
-    }
-}
-
 } // namespace
+
+PackedOperand
+PackedOperand::decode_strided(const QuantPlan& plan,
+                              std::span<const std::uint8_t> bytes,
+                              std::size_t rows, std::size_t cols,
+                              std::size_t stride_bits)
+{
+    PackedOperand op(plan, rows, cols);
+    const std::size_t k1 = static_cast<std::size_t>(plan.k1);
+    std::vector<std::uint8_t> tau(plan.num_sub_blocks(k1));
+    std::vector<std::int32_t> raw(k1);
+    for (std::size_t r = 0; r < rows; ++r) {
+        std::size_t pos = r * stride_bits;
+        std::int16_t* mant = op.mantissa_.data() + r * cols;
+        std::int16_t* exp = op.exp_.data() + op.exp_index(r);
+        for (std::size_t off = 0; off < cols;
+             off += k1, exp += kExpGroupRows) {
+            const std::size_t n = std::min(k1, cols - off);
+            *exp = static_cast<std::int16_t>(
+                core::kernels::detail::read_block_bits(
+                    plan, bytes.data(), bytes.size(), pos, tau.data(),
+                    plan.num_sub_blocks(n), raw.data(), n));
+            fold_block(plan, raw.data(), tau.data(), n, mant + off);
+        }
+    }
+    return op;
+}
 
 PackedOperand
 PackedOperand::decode(const QuantPlan& plan,
                       std::span<const std::uint8_t> bytes,
                       std::size_t rows, std::size_t cols)
 {
-    PackedOperand op(plan, rows, cols);
-    MX_CHECK_ARG(bytes.size() * 8 >= rows * row_bits(plan, cols),
+    const std::size_t bits = row_bits(plan, cols);
+    MX_CHECK_ARG(bytes.size() * 8 >= rows * bits,
                  "PackedOperand::decode: stream too short for ["
                      << rows << " x " << cols << "]");
-    core::BitReader reader(bytes);
-    BlockScratch scratch(plan);
-    for (std::size_t r = 0; r < rows; ++r)
-        decode_row(plan, reader, cols, op.mantissa_.data() + r * cols,
-                   op.exp_.data() + op.exp_index(r), scratch);
-    return op;
+    return decode_strided(plan, bytes, rows, cols, bits);
 }
 
 PackedOperand
@@ -165,19 +152,12 @@ PackedOperand::decode_rows(const QuantPlan& plan,
                            std::span<const std::uint8_t> bytes,
                            std::size_t rows, std::size_t cols)
 {
-    PackedOperand op(plan, rows, cols);
     const std::size_t stride = row_stream_bytes(plan, cols);
     MX_CHECK_ARG(bytes.size() >= rows * stride,
                  "PackedOperand::decode_rows: stream holds "
                      << bytes.size() << " bytes, [" << rows << " x " << cols
                      << "] needs " << rows * stride);
-    BlockScratch scratch(plan);
-    for (std::size_t r = 0; r < rows; ++r) {
-        core::BitReader reader(bytes.subspan(r * stride, stride));
-        decode_row(plan, reader, cols, op.mantissa_.data() + r * cols,
-                   op.exp_.data() + op.exp_index(r), scratch);
-    }
-    return op;
+    return decode_strided(plan, bytes, rows, cols, stride * 8);
 }
 
 PackedOperand

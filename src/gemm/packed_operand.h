@@ -37,6 +37,18 @@
  *                the fake-quant path applies, captured as encodings
  *                instead of being rounded back to floats).
  *
+ * Reading the stream.  decode() and decode_rows() check the stream
+ * length once per call, then read every block through
+ * core::kernels::detail::read_block_bits (the inverse of the packers'
+ * write_block_bits: unaligned 64-bit window loads, no per-field bounds
+ * check) and fold the shifts in a second pass over the block.  The
+ * second pass is the faster order for MX9's byte-wide codes, whose
+ * read loop vectorizes only while it does nothing else.  decode_rows()
+ * is on the serving hot path: a warm attention step rebuilds the view
+ * of each layer's whole packed K prefix and every committed V slab
+ * (nn/attention.cpp, span "attn.decode_prefix"), so its cost per
+ * element is paid for every cached key on every decoded token.
+ *
  * Rows are independent: blocks never straddle a row boundary (the
  * nn::quantize_rows contract), every row occupies the same number of
  * stream bits, and row_bit_offset() exposes the per-row offsets so
@@ -154,6 +166,14 @@ class PackedOperand
   private:
     PackedOperand(const core::kernels::QuantPlan& plan, std::size_t rows,
                   std::size_t cols);
+
+    /** Shared body of decode/decode_rows: row r's first block starts
+     *  at bit r * @p stride_bits; the caller has length-checked
+     *  @p bytes for every row. */
+    static PackedOperand decode_strided(const core::kernels::QuantPlan& plan,
+                                        std::span<const std::uint8_t> bytes,
+                                        std::size_t rows, std::size_t cols,
+                                        std::size_t stride_bits);
 
     /** Index of row @p r's block-0 exponent in exp_; its later blocks
      *  follow at stride kExpGroupRows. */

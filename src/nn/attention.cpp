@@ -539,18 +539,27 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
     // Execution views, decoded once per call straight from the byte
     // streams — the integer domain; no dequantized prefix exists.
     std::vector<gemm::PackedOperand> k_ops;
-    k_ops.reserve(static_cast<std::size_t>(heads_));
-    for (std::int64_t h = 0; h < heads_; ++h)
-        k_ops.push_back(gemm::PackedOperand::decode_rows(
-            aplan, cache.k_heads[static_cast<std::size_t>(h)],
-            static_cast<std::size_t>(n),
-            static_cast<std::size_t>(head_dim_)));
     std::vector<gemm::PackedOperand> slab_ops;
-    slab_ops.reserve(cache.v_slabs.size());
-    for (const std::vector<std::uint8_t>& slab : cache.v_slabs)
-        slab_ops.push_back(gemm::PackedOperand::decode_rows(
-            aplan, slab, static_cast<std::size_t>(d_model_),
-            static_cast<std::size_t>(k1)));
+    {
+        obs::Span decode_span("attn.decode_prefix");
+        decode_span.arg(
+            "elems",
+            static_cast<double>(heads_ * n * head_dim_ +
+                                static_cast<std::int64_t>(
+                                    cache.v_slabs.size()) *
+                                    d_model_ * k1));
+        k_ops.reserve(static_cast<std::size_t>(heads_));
+        for (std::int64_t h = 0; h < heads_; ++h)
+            k_ops.push_back(gemm::PackedOperand::decode_rows(
+                aplan, cache.k_heads[static_cast<std::size_t>(h)],
+                static_cast<std::size_t>(n),
+                static_cast<std::size_t>(head_dim_)));
+        slab_ops.reserve(cache.v_slabs.size());
+        for (const std::vector<std::uint8_t>& slab : cache.v_slabs)
+            slab_ops.push_back(gemm::PackedOperand::decode_rows(
+                aplan, slab, static_cast<std::size_t>(d_model_),
+                static_cast<std::size_t>(k1)));
+    }
 
     const bool packed_exec = packed_act_act();
     const gemm::GemmPlan gp = gemm::make_gemm_plan(aplan, aplan);
