@@ -123,68 +123,6 @@ class Avx2GemmKernel final : public PackedGemmKernel
             }
         }
     }
-
-    void
-    gemm_nn_tile(const GemmPlan& plan, const PackedOperand& a,
-                 std::span<const NnBlockRef> b, const Tile& t, float* c,
-                 std::size_t ldc) const override
-    {
-        if (!detail::simd_fast_path(plan)) {
-            scalar_gemm_kernel().gemm_nn_tile(plan, a, b, t, c, ldc);
-            return;
-        }
-        // A full chunk is exactly one 16-element block, so its row
-        // views are the madd inputs.
-        const std::size_t full_chunks =
-            !b.empty() && b.back().op->cols() == 16 ? b.size()
-                                                    : b.size() - 1;
-
-        for (std::size_t p0 = 0; p0 < b.size(); p0 += kPanelBlocks) {
-            const std::size_t p1 = std::min(b.size(), p0 + kPanelBlocks);
-            const std::size_t pfull = std::min(p1, full_chunks);
-            const bool first = p0 == 0;
-            for (std::size_t i = t.i0; i < t.i1; ++i) {
-                const std::int16_t* am = a.row_mantissa(i);
-                const ExpRow aexp = a.row_exp(i);
-                float* crow = c + i * ldc;
-                for (std::size_t j0 = t.j0; j0 < t.j1; j0 += kRegCols) {
-                    const std::size_t jn = std::min(kRegCols, t.j1 - j0);
-                    float acc[kRegCols];
-                    for (std::size_t jj = 0; jj < jn; ++jj)
-                        acc[jj] = first ? 0.0f : crow[j0 + jj];
-                    for (std::size_t k = p0; k < pfull; ++k) {
-                        const PackedOperand& chunk = *b[k].op;
-                        const std::size_t br0 = b[k].row_off + j0;
-                        const __m256i ma = load_mant(am + k * 16);
-                        for (std::size_t jj = 0; jj < jn; ++jj) {
-                            const std::size_t br = br0 + jj;
-                            const std::int64_t blki = hsum_epi32(
-                                _mm256_madd_epi16(
-                                    ma, load_mant(chunk.row_mantissa(br))));
-                            acc[jj] += static_cast<float>(
-                                static_cast<double>(blki) *
-                                core::kernels::detail::pow2_double(
-                                    aexp[k] + chunk.row_exp(br)[0] -
-                                    plan.exp_bias));
-                        }
-                    }
-                    if (p1 > full_chunks) {
-                        const PackedOperand& tailc = *b.back().op;
-                        for (std::size_t jj = 0; jj < jn; ++jj) {
-                            const std::size_t br =
-                                b.back().row_off + j0 + jj;
-                            acc[jj] += detail::block_contrib2(
-                                plan, am, aexp[full_chunks],
-                                full_chunks * 16, tailc.row_mantissa(br),
-                                tailc.row_exp(br)[0], 0, tailc.cols());
-                        }
-                    }
-                    for (std::size_t jj = 0; jj < jn; ++jj)
-                        crow[j0 + jj] = acc[jj];
-                }
-            }
-        }
-    }
 };
 
 } // namespace

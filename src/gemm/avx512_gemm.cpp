@@ -5,7 +5,7 @@
  * up to the one double->float rounding per k1-block pair is exact), now
  * applied across 512-bit lanes.
  *
- * NT fast path (detail::simd_fast_path, shared with AVX2): one vector
+ * Fast path (detail::simd_fast_path, shared with AVX2): one vector
  * lane per OUTPUT COLUMN.  For one A row and a group of 16 B rows, per
  * block pair (32 folded int16 mantissas, packed_operand.h):
  *   - 16 _mm512_dpwssd_epi32, one per B row, multiply the pair's 32
@@ -30,12 +30,6 @@
  * double range (d1 >= 10) take the scalar pow2_double / ldexp epilogue
  * per lane instead.
  *
- * The NN leg's chunk rows live in different PackedOperands, so it keeps
- * one output column per pass: a block pair's B-side 512-bit vector is
- * assembled from two 256-bit row loads (insert), and each block's half
- * reduces by a horizontal sum.  Its register blocking mirrors the AVX2
- * microkernel (kRegCols output columns share each A-side load).
- *
  * This translation unit is the only one in mx_gemm compiled with
  * -mavx512f/-mavx512bw/-mavx512vnni; callers reach it through
  * gemm::active_gemm_kernel(), which is slaved to the core/kernels
@@ -58,26 +52,12 @@ namespace gemm {
 
 namespace {
 
-/** Horizontal sum of 8 int32 lanes (exact). */
-inline std::int32_t
-hsum_epi32(__m256i v)
-{
-    __m128i s = _mm_add_epi32(_mm256_castsi256_si128(v),
-                              _mm256_extracti128_si256(v, 1));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(1, 0, 3, 2)));
-    s = _mm_add_epi32(s, _mm_shuffle_epi32(s, _MM_SHUFFLE(2, 3, 0, 1)));
-    return _mm_cvtsi128_si32(s);
-}
-
-/** B rows per NT register block: one per 32-bit lane. */
+/** B rows per register block: one per 32-bit lane. */
 constexpr std::size_t kLanes = 16;
 static_assert(kLanes == kExpGroupRows);
 
 // Block pairs never straddle a kc panel.
 static_assert(kPanelBlocks % 2 == 0);
-
-/** NN-leg output columns per register block (the j unroll). */
-constexpr std::size_t kRegCols = 4;
 
 /** A block pair's 32 int16 mantissas. */
 inline __m512i
@@ -93,13 +73,6 @@ load_mant2(const std::int16_t* p, std::size_t n)
 {
     return _mm512_maskz_loadu_epi16(static_cast<__mmask32>((1u << n) - 1),
                                     p);
-}
-
-/** A single block's 16 int16 mantissas (the NN odd-chunk step). */
-inline __m256i
-load_mant1(const std::int16_t* p)
-{
-    return _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p));
 }
 
 /**
@@ -291,102 +264,6 @@ class Avx512GemmKernel final : public PackedGemmKernel
                                       aexp[blk + 1] - plan.exp_bias, vec);
                     }
                     store_acc(acc, live, cg);
-                }
-            }
-        }
-    }
-
-    void
-    gemm_nn_tile(const GemmPlan& plan, const PackedOperand& a,
-                 std::span<const NnBlockRef> b, const Tile& t, float* c,
-                 std::size_t ldc) const override
-    {
-        if (!detail::simd_fast_path(plan)) {
-            scalar_gemm_kernel().gemm_nn_tile(plan, a, b, t, c, ldc);
-            return;
-        }
-        // A full chunk is exactly one 16-element block.
-        const std::size_t full_chunks =
-            !b.empty() && b.back().op->cols() == 16 ? b.size()
-                                                    : b.size() - 1;
-        const __m512i zero = _mm512_setzero_si512();
-
-        for (std::size_t p0 = 0; p0 < b.size(); p0 += kPanelBlocks) {
-            const std::size_t p1 = std::min(b.size(), p0 + kPanelBlocks);
-            const std::size_t pfull = std::min(p1, full_chunks);
-            const bool first = p0 == 0;
-            for (std::size_t i = t.i0; i < t.i1; ++i) {
-                const std::int16_t* am = a.row_mantissa(i);
-                const ExpRow aexp = a.row_exp(i);
-                float* crow = c + i * ldc;
-                for (std::size_t j0 = t.j0; j0 < t.j1; j0 += kRegCols) {
-                    const std::size_t jn = std::min(kRegCols, t.j1 - j0);
-                    float acc[kRegCols];
-                    for (std::size_t jj = 0; jj < jn; ++jj)
-                        acc[jj] = first ? 0.0f : crow[j0 + jj];
-                    std::size_t k = p0;
-                    for (; k + 2 <= pfull; k += 2) {
-                        // Chunk pair: the A side is contiguous, the two
-                        // B rows come from different operands — insert
-                        // them into one 512-bit vector.
-                        const PackedOperand& c0 = *b[k].op;
-                        const PackedOperand& c1 = *b[k + 1].op;
-                        const std::size_t br0 = b[k].row_off + j0;
-                        const std::size_t br1 = b[k + 1].row_off + j0;
-                        const __m512i ma = load_mant2(am + k * 16);
-                        for (std::size_t jj = 0; jj < jn; ++jj) {
-                            const __m512i mb = _mm512_inserti64x4(
-                                _mm512_castsi256_si512(load_mant1(
-                                    c0.row_mantissa(br0 + jj))),
-                                load_mant1(c1.row_mantissa(br1 + jj)), 1);
-                            const __m512i dots =
-                                _mm512_dpwssd_epi32(zero, ma, mb);
-                            const std::int64_t lo =
-                                hsum_epi32(_mm512_castsi512_si256(dots));
-                            const std::int64_t hi = hsum_epi32(
-                                _mm512_extracti64x4_epi64(dots, 1));
-                            acc[jj] += static_cast<float>(
-                                static_cast<double>(lo) *
-                                core::kernels::detail::pow2_double(
-                                    aexp[k] + c0.row_exp(br0 + jj)[0] -
-                                    plan.exp_bias));
-                            acc[jj] += static_cast<float>(
-                                static_cast<double>(hi) *
-                                core::kernels::detail::pow2_double(
-                                    aexp[k + 1] +
-                                    c1.row_exp(br1 + jj)[0] -
-                                    plan.exp_bias));
-                        }
-                    }
-                    if (k < pfull) { // odd trailing full chunk
-                        const PackedOperand& chunk = *b[k].op;
-                        const std::size_t br0 = b[k].row_off + j0;
-                        const __m256i ma = load_mant1(am + k * 16);
-                        for (std::size_t jj = 0; jj < jn; ++jj) {
-                            const std::size_t br = br0 + jj;
-                            const std::int64_t blki = hsum_epi32(
-                                _mm256_madd_epi16(
-                                    ma, load_mant1(chunk.row_mantissa(br))));
-                            acc[jj] += static_cast<float>(
-                                static_cast<double>(blki) *
-                                core::kernels::detail::pow2_double(
-                                    aexp[k] + chunk.row_exp(br)[0] -
-                                    plan.exp_bias));
-                        }
-                    }
-                    if (p1 > full_chunks) {
-                        const PackedOperand& tailc = *b.back().op;
-                        for (std::size_t jj = 0; jj < jn; ++jj) {
-                            const std::size_t br =
-                                b.back().row_off + j0 + jj;
-                            acc[jj] += detail::block_contrib2(
-                                plan, am, aexp[full_chunks],
-                                full_chunks * 16, tailc.row_mantissa(br),
-                                tailc.row_exp(br)[0], 0, tailc.cols());
-                        }
-                    }
-                    for (std::size_t jj = 0; jj < jn; ++jj)
-                        crow[j0 + jj] = acc[jj];
                 }
             }
         }

@@ -95,39 +95,6 @@ check_pair(const GemmPlan& plan, const PackedOperand& a,
                  "gemm: operand plans do not match the GemmPlan");
 }
 
-void
-check_nn(const GemmPlan& plan, const PackedOperand& a,
-         std::span<const NnBlockRef> b, std::size_t ncols)
-{
-    MX_CHECK_ARG(a.valid(), "gemm_nn: invalid A operand");
-    MX_CHECK_ARG(a.plan().k1 == plan.a.k1 && a.plan().m == plan.a.m,
-                 "gemm_nn: A operand plan does not match the GemmPlan");
-    MX_CHECK_ARG(ncols >= 1, "gemm_nn: empty output");
-    const std::size_t k1 = static_cast<std::size_t>(plan.a.k1);
-    std::size_t covered = 0;
-    for (std::size_t k = 0; k < b.size(); ++k) {
-        const NnBlockRef& ref = b[k];
-        MX_CHECK_ARG(ref.op != nullptr && ref.op->valid(),
-                     "gemm_nn: chunk " << k << " is invalid");
-        MX_CHECK_ARG(ref.op->plan().k1 == plan.b.k1 &&
-                     ref.op->plan().m == plan.b.m,
-                     "gemm_nn: chunk " << k
-                         << "'s plan does not match the GemmPlan");
-        MX_CHECK_ARG(ref.op->cols() <= k1 &&
-                     (k + 1 == b.size() || ref.op->cols() == k1),
-                     "gemm_nn: chunk " << k << " is " << ref.op->cols()
-                         << " wide; only the last chunk may be short");
-        MX_CHECK_ARG(ref.row_off + ncols <= ref.op->rows(),
-                     "gemm_nn: chunk " << k << " rows [" << ref.row_off
-                         << ", " << ref.row_off + ncols
-                         << ") exceed its " << ref.op->rows() << " rows");
-        covered += ref.op->cols();
-    }
-    MX_CHECK_ARG(covered == a.cols(),
-                 "gemm_nn: chunks cover " << covered
-                     << " contraction elements, A has " << a.cols());
-}
-
 class ScalarGemmKernel final : public PackedGemmKernel
 {
   public:
@@ -169,34 +136,6 @@ class ScalarGemmKernel final : public PackedGemmKernel
         }
     }
 
-    void
-    gemm_nn_tile(const GemmPlan& plan, const PackedOperand& a,
-                 std::span<const NnBlockRef> b, const Tile& t, float* c,
-                 std::size_t ldc) const override
-    {
-        const std::size_t k1 = static_cast<std::size_t>(plan.a.k1);
-        for (std::size_t p0 = 0; p0 < b.size(); p0 += kPanelBlocks) {
-            const std::size_t p1 = std::min(b.size(), p0 + kPanelBlocks);
-            const bool first = p0 == 0;
-            for (std::size_t i = t.i0; i < t.i1; ++i) {
-                const std::int16_t* am = a.row_mantissa(i);
-                const ExpRow aexp = a.row_exp(i);
-                float* crow = c + i * ldc;
-                for (std::size_t j = t.j0; j < t.j1; ++j) {
-                    float acc = first ? 0.0f : crow[j];
-                    for (std::size_t k = p0; k < p1; ++k) {
-                        const PackedOperand& chunk = *b[k].op;
-                        const std::size_t br = b[k].row_off + j;
-                        acc += detail::block_contrib2(
-                            plan, am, aexp[k], k * k1,
-                            chunk.row_mantissa(br), chunk.row_exp(br)[0],
-                            0, chunk.cols());
-                    }
-                    crow[j] = acc;
-                }
-            }
-        }
-    }
 };
 
 /**
@@ -269,17 +208,6 @@ run_gemm(const PackedGemmKernel& kernel, const GemmPlan& plan,
     });
 }
 
-void
-run_gemm_nn(const PackedGemmKernel& kernel, const GemmPlan& plan,
-            const PackedOperand& a, std::span<const NnBlockRef> b,
-            std::size_t ncols, float* c)
-{
-    check_nn(plan, a, b, ncols);
-    run_tiled(a.rows(), ncols, [&](const Tile& t) {
-        kernel.gemm_nn_tile(plan, a, b, t, c, ncols);
-    });
-}
-
 /** Shared divergence check of a packed result against an FP64-accumulated
  *  dequantized reference (behind MX_GEMM_VERIFY=1). */
 void
@@ -308,27 +236,6 @@ verify_against_reference(const PackedOperand& a, const PackedOperand& b,
     check_against(tensor::matmul_nt(dequantize(a), dequantize(b)), c);
 }
 
-/** Dequantized-reference cross-check of the NN leg: assemble the
- *  [ncols x K] B^T grid from the chunks, then compare as an NT GEMM. */
-void
-verify_nn_against_reference(const PackedOperand& a,
-                            std::span<const NnBlockRef> b,
-                            std::size_t ncols, const float* c)
-{
-    tensor::Tensor bt({static_cast<std::int64_t>(ncols),
-                       static_cast<std::int64_t>(a.cols())});
-    std::size_t off = 0;
-    for (const NnBlockRef& ref : b) {
-        tensor::Tensor g = dequantize(*ref.op);
-        for (std::size_t j = 0; j < ncols; ++j)
-            for (std::size_t t = 0; t < ref.op->cols(); ++t)
-                bt.data()[j * a.cols() + off + t] =
-                    g.data()[(ref.row_off + j) * ref.op->cols() + t];
-        off += ref.op->cols();
-    }
-    check_against(tensor::matmul_nt(dequantize(a), bt), c);
-}
-
 } // namespace
 
 void
@@ -342,20 +249,6 @@ PackedGemmKernel::gemm(const GemmPlan& plan, const PackedOperand& a,
                       Tile{i0, std::min(a.rows(), i0 + kTileRowsA), j0,
                            std::min(b.rows(), j0 + kTileRowsB)},
                       c, b.rows());
-}
-
-void
-PackedGemmKernel::gemm_nn(const GemmPlan& plan, const PackedOperand& a,
-                          std::span<const NnBlockRef> b, std::size_t ncols,
-                          float* c) const
-{
-    check_nn(plan, a, b, ncols);
-    for (std::size_t i0 = 0; i0 < a.rows(); i0 += kTileRowsA)
-        for (std::size_t j0 = 0; j0 < ncols; j0 += kTileRowsB)
-            gemm_nn_tile(plan, a, b,
-                         Tile{i0, std::min(a.rows(), i0 + kTileRowsA), j0,
-                              std::min(ncols, j0 + kTileRowsB)},
-                         c, ncols);
 }
 
 tensor::Tensor
@@ -538,26 +431,22 @@ matmul_nt_prequant(const GemmPlan& plan, const PackedOperand& a,
     return c;
 }
 
-tensor::Tensor
-matmul_nn_packed(const GemmPlan& plan, const PackedOperand& a,
-                 std::span<const NnBlockRef> b, std::size_t ncols)
+void
+add_block_term(const GemmPlan& plan, const PackedOperand& a,
+               const PackedOperand& b, float* c)
 {
-    obs::Span span("gemm.nn_packed");
-    if (obs::trace_enabled()) {
-        std::size_t b_bytes = 0;
-        for (const NnBlockRef& ref : b)
-            b_bytes += ref.op->memory_bytes();
-        annotate_gemm_span(span, plan, a.rows(), ncols, a.cols(),
-                           a.memory_bytes() + b_bytes);
-    }
-    tensor::Tensor c({static_cast<std::int64_t>(a.rows()),
-                      static_cast<std::int64_t>(ncols)});
-    run_gemm_nn(active_gemm_kernel(), plan, a, b, ncols, c.data());
-    count_call();
-    static const bool verify = env_verifies_gemm();
-    if (verify)
-        verify_nn_against_reference(a, b, ncols, c.data());
-    return c;
+    MX_CHECK_ARG(a.valid() && b.valid() && a.rows() == 1 &&
+                     a.cols() == b.cols() &&
+                     a.cols() <= static_cast<std::size_t>(plan.a.k1),
+                 "add_block_term: [" << a.rows() << " x " << a.cols()
+                                     << "] x [" << b.rows() << " x "
+                                     << b.cols()
+                                     << "] is not one block pair");
+    const std::int16_t* am = a.row_mantissa(0);
+    const int aexp = a.row_exp(0)[0];
+    for (std::size_t j = 0; j < b.rows(); ++j)
+        c[j] += detail::block_contrib(plan, am, aexp, b.row_mantissa(j),
+                                      b.row_exp(j)[0], 0, a.cols());
 }
 
 } // namespace gemm

@@ -43,10 +43,10 @@
  *    block of B rows (the microkernel's j unroll) stays resident in L1
  *    across a panel, and the A row's panel slice is reused across every
  *    B row in the tile.
- *  - Multithreading.  matmul_nt_packed{,2}, matmul_nt_prequant and
- *    matmul_nn_packed shard the FIXED tile grid across a thread pool
- *    sized by MX_GEMM_THREADS (default: the MX_THREADS pool size; 1 =
- *    serial).  The grid never depends on the thread count, and each
+ *  - Multithreading.  matmul_nt_packed{,2} and matmul_nt_prequant
+ *    shard the FIXED tile grid across a thread pool sized by
+ *    MX_GEMM_THREADS (default: the MX_THREADS pool size; 1 = serial).
+ *    The grid never depends on the thread count, and each
  *    C element is computed wholly inside one tile by one thread — all
  *    integer work plus its own FP32 block chain — so results are
  *    bit-identical for any thread count or shard assignment.
@@ -79,7 +79,6 @@
  */
 
 #include <cstdint>
-#include <span>
 
 #include "gemm/gemm_plan.h"
 #include "gemm/packed_operand.h"
@@ -88,34 +87,18 @@
 namespace mx {
 namespace gemm {
 
-/**
- * One k1-block chunk of a non-transposed right-hand operand (the NN
- * kernel leg).  @p op is a packed operand whose ROWS run along the
- * GEMM's output columns and whose COLS are the chunk's contraction
- * slice (at most one k1 block wide); @p row_off selects the first of
- * the ncols rows that participate (a d_model-row V slab serves every
- * head through its own row_off).  Chunk k covers contraction elements
- * [k * k1, k * k1 + op->cols()), so the chunk widths must tile the A
- * operand's cols exactly.
- */
-struct NnBlockRef
-{
-    const PackedOperand* op = nullptr;
-    std::size_t row_off = 0;
-};
-
 /** Half-open output tile [i0, i1) x [j0, j1) of a blocked GEMM.  Tiles
  *  come from the fixed grid, so j0 is a multiple of kTileRowsB. */
 struct Tile
 {
     std::size_t i0 = 0, i1 = 0; ///< A-row (C-row) range.
-    std::size_t j0 = 0, j1 = 0; ///< B-row / NN-column (C-col) range.
+    std::size_t j0 = 0, j1 = 0; ///< B-row (C-col) range.
 };
 
 /** Output-tile height: A rows per tile (the mc blocking factor). */
 inline constexpr std::size_t kTileRowsA = 64;
 
-/** Output-tile width: B rows / NN cols per tile (the nc factor).  Also
+/** Output-tile width: B rows per tile (the nc factor).  Also
  *  the parallel shard granularity.  One AVX-512 column group: that
  *  kernel's B panel is one group at any tile width, so the narrow tile
  *  costs nothing serially, while a GEMM with few column groups still
@@ -132,12 +115,11 @@ static_assert(kTileRowsB % kExpGroupRows == 0);
 inline constexpr std::size_t kPanelBlocks = 32;
 
 /**
- * The execute side.  Kernels implement the TILE entry points; the
- * whole-GEMM gemm()/gemm_nn() convenience wrappers validate and walk
- * the tile grid serially (the threaded walk lives in the matmul_*
- * drivers).  Tile calls assume the driver already validated the
- * operand pair / chunk structure — they are the hot path and run once
- * per tile per thread.
+ * The execute side.  Kernels implement the one TILE entry point; the
+ * whole-GEMM gemm() convenience wrapper validates and walks the tile
+ * grid serially (the threaded walk lives in the matmul_* drivers).
+ * Tile calls assume the driver already validated the operand pair —
+ * they are the hot path and run once per tile per thread.
  */
 class PackedGemmKernel
 {
@@ -159,18 +141,6 @@ class PackedGemmKernel
                            float* c, std::size_t ldc) const = 0;
 
     /**
-     * The NN-leg tile: C[a.rows x ncols] = A * B with B given as one
-     * packed chunk per k1-block (B's storage rows run along C's
-     * columns — how P V consumes a native MX V cache).  @p t.j0/j1
-     * range over the ncols output columns; @p ldc is C's row stride.
-     */
-    virtual void gemm_nn_tile(const GemmPlan& plan,
-                              const PackedOperand& a,
-                              std::span<const NnBlockRef> b,
-                              const Tile& t, float* c,
-                              std::size_t ldc) const = 0;
-
-    /**
      * C[a.rows x b.rows] = A * B^T in the packed domain: validate, then
      * walk the tile grid serially.  @p a and @p b must share the
      * contraction width (a.cols == b.cols) and match @p plan's operand
@@ -178,13 +148,6 @@ class PackedGemmKernel
      */
     void gemm(const GemmPlan& plan, const PackedOperand& a,
               const PackedOperand& b, float* c) const;
-
-    /** Whole-GEMM NN leg: validate, then walk the tile grid serially.
-     *  Chunk widths must tile a.cols() exactly (only the last chunk may
-     *  be short). */
-    void gemm_nn(const GemmPlan& plan, const PackedOperand& a,
-                 std::span<const NnBlockRef> b, std::size_t ncols,
-                 float* c) const;
 };
 
 /** The portable reference implementation (always available). */
@@ -290,14 +253,15 @@ tensor::Tensor matmul_nt_prequant(const GemmPlan& plan,
                                   const PackedOperand& b);
 
 /**
- * C[a.rows x ncols] = A * B on the NN leg (see
- * PackedGemmKernel::gemm_nn): @p b holds one packed chunk per k1-block
- * of the contraction, with chunk widths tiling a.cols() exactly.
+ * c[j] += the file contract's one-block term of A's single row against
+ * B's row j, for every row j of @p b: how a caller extends each
+ * element's ascending block chain by one more block without another
+ * GEMM call (P·V adds each query's open tail block of keys this way
+ * after the GEMM over the committed slabs).  @p a is [1 x n] and @p b
+ * [rows x n], both one block wide (n <= k1) and matching @p plan.
  */
-tensor::Tensor matmul_nn_packed(const GemmPlan& plan,
-                                const PackedOperand& a,
-                                std::span<const NnBlockRef> b,
-                                std::size_t ncols);
+void add_block_term(const GemmPlan& plan, const PackedOperand& a,
+                    const PackedOperand& b, float* c);
 
 /**
  * The operand's grid values — the exact floats the fake-quant path's
@@ -314,34 +278,22 @@ namespace detail {
 
 /**
  * One k1-block pair's contribution in the packed domain — the scalar
- * semantics every kernel must reproduce exactly — with independent
- * per-operand element offsets: @p aoff / @p boff locate the block
- * inside each operand's row (the NT leg walks both rows in lockstep;
- * the NN leg's b-chunks are standalone single-block rows at boff 0).
- * Pointers are whole-row folded-mantissa views
- * (PackedOperand::row_mantissa); @p n is the block length (k1 or a
+ * semantics every kernel must reproduce exactly.  Pointers are
+ * whole-row folded-mantissa views (PackedOperand::row_mantissa); @p off
+ * locates the block inside both rows and @p n is its length (k1 or a
  * ragged tail).
  */
-inline float
-block_contrib2(const GemmPlan& plan, const std::int16_t* am_row, int aexp,
-               std::size_t aoff, const std::int16_t* bm_row, int bexp,
-               std::size_t boff, std::size_t n)
-{
-    std::int64_t blk = 0;
-    for (std::size_t k = 0; k < n; ++k)
-        blk += static_cast<std::int32_t>(am_row[aoff + k]) * bm_row[boff + k];
-    return static_cast<float>(
-        static_cast<double>(blk) *
-        core::kernels::detail::pow2_double(aexp + bexp - plan.exp_bias));
-}
-
-/** The NT-leg special case: one shared offset for both operands. */
 inline float
 block_contrib(const GemmPlan& plan, const std::int16_t* am_row, int aexp,
               const std::int16_t* bm_row, int bexp, std::size_t off,
               std::size_t n)
 {
-    return block_contrib2(plan, am_row, aexp, off, bm_row, bexp, off, n);
+    std::int64_t blk = 0;
+    for (std::size_t k = off; k < off + n; ++k)
+        blk += static_cast<std::int32_t>(am_row[k]) * bm_row[k];
+    return static_cast<float>(
+        static_cast<double>(blk) *
+        core::kernels::detail::pow2_double(aexp + bexp - plan.exp_bias));
 }
 
 /**

@@ -106,29 +106,37 @@ fold_block(const QuantPlan& plan, const Mant* mant, const std::uint8_t* tau,
     }
 }
 
+/** Stream bits of one whole k1-block: the stride between a row's
+ *  consecutive blocks (only a row's last block may be shorter). */
+std::size_t
+block_bits(const QuantPlan& plan)
+{
+    return row_bits(plan, static_cast<std::size_t>(plan.k1));
+}
+
 } // namespace
 
+template <typename BlockAt>
 PackedOperand
-PackedOperand::decode_strided(const QuantPlan& plan,
-                              std::span<const std::uint8_t> bytes,
-                              std::size_t rows, std::size_t cols,
-                              std::size_t stride_bits)
+PackedOperand::decode_blocks(const QuantPlan& plan, std::size_t rows,
+                             std::size_t cols, BlockAt block_at)
 {
     PackedOperand op(plan, rows, cols);
     const std::size_t k1 = static_cast<std::size_t>(plan.k1);
     std::vector<std::uint8_t> tau(plan.num_sub_blocks(k1));
     std::vector<std::int32_t> raw(k1);
     for (std::size_t r = 0; r < rows; ++r) {
-        std::size_t pos = r * stride_bits;
         std::int16_t* mant = op.mantissa_.data() + r * cols;
         std::int16_t* exp = op.exp_.data() + op.exp_index(r);
-        for (std::size_t off = 0; off < cols;
-             off += k1, exp += kExpGroupRows) {
+        for (std::size_t off = 0, blk = 0; off < cols;
+             off += k1, ++blk, exp += kExpGroupRows) {
             const std::size_t n = std::min(k1, cols - off);
+            const BlockAddr at = block_at(r, blk);
+            std::size_t pos = at.bit;
             *exp = static_cast<std::int16_t>(
                 core::kernels::detail::read_block_bits(
-                    plan, bytes.data(), bytes.size(), pos, tau.data(),
-                    plan.num_sub_blocks(n), raw.data(), n));
+                    plan, at.stream.data(), at.stream.size(), pos,
+                    tau.data(), plan.num_sub_blocks(n), raw.data(), n));
             fold_block(plan, raw.data(), tau.data(), n, mant + off);
         }
     }
@@ -144,7 +152,12 @@ PackedOperand::decode(const QuantPlan& plan,
     MX_CHECK_ARG(bytes.size() * 8 >= rows * bits,
                  "PackedOperand::decode: stream too short for ["
                      << rows << " x " << cols << "]");
-    return decode_strided(plan, bytes, rows, cols, bits);
+    const std::size_t blk_bits = block_bits(plan);
+    return decode_blocks(plan, rows, cols,
+                         [&](std::size_t r, std::size_t blk) {
+                             return BlockAddr{bytes,
+                                              r * bits + blk * blk_bits};
+                         });
 }
 
 PackedOperand
@@ -157,7 +170,32 @@ PackedOperand::decode_rows(const QuantPlan& plan,
                  "PackedOperand::decode_rows: stream holds "
                      << bytes.size() << " bytes, [" << rows << " x " << cols
                      << "] needs " << rows * stride);
-    return decode_strided(plan, bytes, rows, cols, stride * 8);
+    const std::size_t blk_bits = block_bits(plan);
+    return decode_blocks(plan, rows, cols,
+                         [&](std::size_t r, std::size_t blk) {
+                             return BlockAddr{bytes, r * stride * 8 +
+                                                         blk * blk_bits};
+                         });
+}
+
+PackedOperand
+PackedOperand::decode_slab_rows(
+    const QuantPlan& plan, std::span<const std::vector<std::uint8_t>> slabs,
+    std::size_t row0, std::size_t rows)
+{
+    const std::size_t k1 = static_cast<std::size_t>(plan.k1);
+    const std::size_t stride = row_stream_bytes(plan, k1);
+    for (std::size_t b = 0; b < slabs.size(); ++b)
+        MX_CHECK_ARG(slabs[b].size() >= (row0 + rows) * stride,
+                     "PackedOperand::decode_slab_rows: slab "
+                         << b << " holds " << slabs[b].size()
+                         << " bytes, rows [" << row0 << ", " << row0 + rows
+                         << ") need " << (row0 + rows) * stride);
+    return decode_blocks(plan, rows, slabs.size() * k1,
+                         [&](std::size_t r, std::size_t blk) {
+                             return BlockAddr{slabs[blk],
+                                              (row0 + r) * stride * 8};
+                         });
 }
 
 PackedOperand

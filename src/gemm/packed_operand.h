@@ -37,17 +37,21 @@
  *                the fake-quant path applies, captured as encodings
  *                instead of being rounded back to floats).
  *
- * Reading the stream.  decode() and decode_rows() check the stream
- * length once per call, then read every block through
- * core::kernels::detail::read_block_bits (the inverse of the packers'
- * write_block_bits: unaligned 64-bit window loads, no per-field bounds
- * check) and fold the shifts in a second pass over the block.  The
- * second pass is the faster order for MX9's byte-wide codes, whose
- * read loop vectorizes only while it does nothing else.  decode_rows()
- * is on the serving hot path: a warm attention step rebuilds the view
- * of each layer's whole packed K prefix and every committed V slab
- * (nn/attention.cpp, span "attn.decode_prefix"), so its cost per
- * element is paid for every cached key on every decoded token.
+ * Reading the stream.  The decoders are block-addressed: each says
+ * where every (row, k1-block) starts — a stream and a bit offset — and
+ * one read loop does the rest.  decode() and decode_rows() address one
+ * stream; decode_slab_rows() takes block b of every row from slab b.
+ * Each checks its streams' lengths once per call; the loop reads every
+ * block through core::kernels::detail::read_block_bits (the inverse of
+ * the packers' write_block_bits: unaligned 64-bit window loads, no
+ * per-field bounds check) and folds the shifts in a second pass over
+ * the block.  The second pass is the faster order for MX9's byte-wide
+ * codes, whose read loop vectorizes only while it does nothing else.
+ * decode_rows() and decode_slab_rows() are on the serving hot path: a
+ * warm attention step rebuilds the view of each layer's whole packed K
+ * prefix and each head's committed V^T (nn/attention.cpp, span
+ * "attn.decode_prefix"), so their cost per element is paid for every
+ * cached key on every decoded token.
  *
  * Rows are independent: blocks never straddle a row boundary (the
  * nn::quantize_rows contract), every row occupies the same number of
@@ -111,6 +115,20 @@ class PackedOperand
                                      std::size_t rows, std::size_t cols);
 
     /**
+     * Decode rows [@p row0, @p row0 + @p rows) of a run of byte-aligned
+     * one-block slabs (each a decode_rows stream of k1-element rows) as
+     * ONE operand: row r, block b is row @p row0 + r of slabs[b], so the
+     * result is [rows x slabs.size() * k1] — the column concatenation of
+     * the slabs' row views.  This is how one head's visible V^T leaves
+     * the native V cache's [d_model, k1] slabs as an ordinary NT
+     * operand.  Every slab must hold (row0 + rows) rows.
+     */
+    static PackedOperand
+    decode_slab_rows(const core::kernels::QuantPlan& plan,
+                     std::span<const std::vector<std::uint8_t>> slabs,
+                     std::size_t row0, std::size_t rows);
+
+    /**
      * Quantize a float matrix straight into the execution view through
      * the dispatched QuantKernel — the activation-side builder.  The
      * integer encodings are identical to what quantize_rows would
@@ -167,13 +185,21 @@ class PackedOperand
     PackedOperand(const core::kernels::QuantPlan& plan, std::size_t rows,
                   std::size_t cols);
 
-    /** Shared body of decode/decode_rows: row r's first block starts
-     *  at bit r * @p stride_bits; the caller has length-checked
-     *  @p bytes for every row. */
-    static PackedOperand decode_strided(const core::kernels::QuantPlan& plan,
-                                        std::span<const std::uint8_t> bytes,
-                                        std::size_t rows, std::size_t cols,
-                                        std::size_t stride_bits);
+    /** Where one (row, k1-block) starts: the stream that holds it and
+     *  its first bit inside that stream. */
+    struct BlockAddr
+    {
+        std::span<const std::uint8_t> stream;
+        std::size_t bit = 0;
+    };
+
+    /** The one read loop every decoder shares: block @p blk of row
+     *  @p r is read at @p block_at(r, blk); the caller has
+     *  length-checked every stream for every block it addresses. */
+    template <typename BlockAt>
+    static PackedOperand decode_blocks(const core::kernels::QuantPlan& plan,
+                                       std::size_t rows, std::size_t cols,
+                                       BlockAt block_at);
 
     /** Index of row @p r's block-0 exponent in exp_; its later blocks
      *  follow at stride kExpGroupRows. */

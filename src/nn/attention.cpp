@@ -537,28 +537,28 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
     }
 
     // Execution views, decoded once per call straight from the byte
-    // streams — the integer domain; no dequantized prefix exists.
-    std::vector<gemm::PackedOperand> k_ops;
-    std::vector<gemm::PackedOperand> slab_ops;
+    // streams — the integer domain; no dequantized prefix exists.  Each
+    // head's committed V^T, [head_dim, slabs * k1], reads its rows of
+    // every slab as one ordinary NT operand.
+    const std::int64_t committed = slabs_new * k1;
+    std::vector<gemm::PackedOperand> k_ops, v_ops;
     {
         obs::Span decode_span("attn.decode_prefix");
-        decode_span.arg(
-            "elems",
-            static_cast<double>(heads_ * n * head_dim_ +
-                                static_cast<std::int64_t>(
-                                    cache.v_slabs.size()) *
-                                    d_model_ * k1));
         k_ops.reserve(static_cast<std::size_t>(heads_));
         for (std::int64_t h = 0; h < heads_; ++h)
             k_ops.push_back(gemm::PackedOperand::decode_rows(
                 aplan, cache.k_heads[static_cast<std::size_t>(h)],
                 static_cast<std::size_t>(n),
                 static_cast<std::size_t>(head_dim_)));
-        slab_ops.reserve(cache.v_slabs.size());
-        for (const std::vector<std::uint8_t>& slab : cache.v_slabs)
-            slab_ops.push_back(gemm::PackedOperand::decode_rows(
-                aplan, slab, static_cast<std::size_t>(d_model_),
-                static_cast<std::size_t>(k1)));
+        if (committed > 0)
+            for (std::int64_t h = 0; h < heads_; ++h)
+                v_ops.push_back(gemm::PackedOperand::decode_slab_rows(
+                    aplan, cache.v_slabs,
+                    static_cast<std::size_t>(h * head_dim_),
+                    static_cast<std::size_t>(head_dim_)));
+        decode_span.arg("elems",
+                        static_cast<double>(heads_ * head_dim_ *
+                                            (n + committed)));
     }
 
     const bool packed_exec = packed_act_act();
@@ -567,26 +567,26 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
     // encodings — never re-quantize — so it cannot drift from the
     // legacy fake-quant path even where re-quantization would not be
     // idempotent.
-    std::vector<Tensor> k_grids, slab_grids;
+    std::vector<Tensor> k_grids, v_grids;
     if (!packed_exec) {
         for (const gemm::PackedOperand& op : k_ops)
             k_grids.push_back(gemm::dequantize(op));
-        for (const gemm::PackedOperand& op : slab_ops)
-            slab_grids.push_back(gemm::dequantize(op));
+        for (const gemm::PackedOperand& op : v_ops)
+            v_grids.push_back(gemm::dequantize(op));
     }
 
     for (std::int64_t h = 0; h < heads_; ++h) {
+        const auto hu = static_cast<std::size_t>(h);
         Tensor qh = take_head(q_suf, s, h);
 
         // Q K^T straight off the packed key rows.
         Tensor scores =
             packed_exec
-                ? gemm::matmul_nt_packed(qh, aplan, k_ops[static_cast<
-                                             std::size_t>(h)],
+                ? gemm::matmul_nt_packed(qh, aplan, k_ops[hu],
                                          spec_.rounding)
                 : tensor::matmul_nt(
                       quantize_rows(qh, *spec_.forward, spec_.rounding),
-                      k_grids[static_cast<std::size_t>(h)]);
+                      k_grids[hu]);
         for (std::int64_t i = 0; i < s; ++i) {
             for (std::int64_t j = 0; j < n; ++j) {
                 float& sc = scores.data()[i * n + j];
@@ -597,17 +597,35 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
         }
         Tensor probs = tensor::softmax_rows(scores);
 
-        // P V per position: committed slabs feed the NN kernel leg as
-        // chunks (this head's rows via row_off); only the open tail
-        // block [nb * k1, vis) is quantized here, from raw floats —
-        // exactly the blocks the causal-visibility discipline defines.
+        // P V, row i over its visible keys [0, vis): the nb committed
+        // slabs it sees, then its open tail block [nb * k1, vis),
+        // quantized here from raw floats — exactly the blocks the
+        // causal-visibility discipline defines.  Packed, every row's
+        // committed part is ONE NT GEMM against the head's V^T, with
+        // the row's columns past nb * k1 zeroed: a zero block adds
+        // float(0 * 2^e) = +0, which leaves an FP32 sum that started at
+        // +0 unchanged, so each element's chain is still blocks
+        // 0..nb-1 in order.  The tail block then extends it by the
+        // contract's one-block term.
+        Tensor ctx = Tensor::zeros({s, head_dim_});
+        if (packed_exec && committed > 0) {
+            std::vector<float> pc(static_cast<std::size_t>(s * committed),
+                                  0.0f);
+            for (std::int64_t i = 0; i < s; ++i)
+                std::copy(probs.data() + i * n,
+                          probs.data() + i * n + (p + i + 1) / k1 * k1,
+                          pc.data() + i * committed);
+            ctx = gemm::matmul_nt_prequant(
+                gp,
+                gemm::PackedOperand::quantize(
+                    aplan, pc.data(), static_cast<std::size_t>(s),
+                    static_cast<std::size_t>(committed), rounder),
+                v_ops[hu]);
+        }
         for (std::int64_t i = 0; i < s; ++i) {
             const std::int64_t vis = p + i + 1;
-            const std::int64_t nb = vis / k1;   // full slabs visible
+            const std::int64_t nb = vis / k1; // full slabs visible
             const std::int64_t tlen = vis - nb * k1;
-            Tensor prow({1, vis});
-            std::copy(probs.data() + i * n, probs.data() + i * n + vis,
-                      prow.data());
             // Transposed raw tail [head_dim, tlen] for this head.
             Tensor vt_tail({head_dim_, std::max<std::int64_t>(tlen, 1)});
             for (std::int64_t d = 0; d < head_dim_; ++d)
@@ -617,42 +635,32 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
                             (nb * k1 + t - raw_base) * d_model_ +
                             h * head_dim_ + d)];
 
-            Tensor crow; // [1, head_dim]
+            float* crow = ctx.data() + i * head_dim_;
             if (packed_exec) {
-                const gemm::PackedOperand prow_op =
-                    gemm::PackedOperand::quantize(
-                        aplan, prow.data(), 1,
-                        static_cast<std::size_t>(vis), rounder);
-                gemm::PackedOperand tail_op;
-                std::vector<gemm::NnBlockRef> refs;
-                refs.reserve(static_cast<std::size_t>(nb) + 1);
-                for (std::int64_t b = 0; b < nb; ++b)
-                    refs.push_back(
-                        {&slab_ops[static_cast<std::size_t>(b)],
-                         static_cast<std::size_t>(h * head_dim_)});
-                if (tlen > 0) {
-                    tail_op = gemm::PackedOperand::quantize(
-                        aplan, vt_tail.data(),
-                        static_cast<std::size_t>(head_dim_),
-                        static_cast<std::size_t>(tlen), rounder);
-                    refs.push_back({&tail_op, 0});
-                }
-                crow = gemm::matmul_nn_packed(
-                    gp, prow_op, refs,
-                    static_cast<std::size_t>(head_dim_));
+                if (tlen > 0)
+                    gemm::add_block_term(
+                        gp,
+                        gemm::PackedOperand::quantize(
+                            aplan, probs.data() + i * n + nb * k1, 1,
+                            static_cast<std::size_t>(tlen), rounder),
+                        gemm::PackedOperand::quantize(
+                            aplan, vt_tail.data(),
+                            static_cast<std::size_t>(head_dim_),
+                            static_cast<std::size_t>(tlen), rounder),
+                        crow);
             } else {
-                // Assemble the visible V^T grid from slab grids plus
-                // the quantized tail, then contract in FP32.
+                // Assemble the visible V^T grid from the head's V^T
+                // grid plus the quantized tail, then contract in FP32.
+                Tensor prow({1, vis});
+                std::copy(probs.data() + i * n,
+                          probs.data() + i * n + vis, prow.data());
                 Tensor vt_grid({head_dim_, vis});
-                for (std::int64_t b = 0; b < nb; ++b) {
-                    const Tensor& g =
-                        slab_grids[static_cast<std::size_t>(b)];
+                if (nb > 0)
                     for (std::int64_t d = 0; d < head_dim_; ++d)
-                        std::copy(
-                            g.data() + (h * head_dim_ + d) * k1,
-                            g.data() + (h * head_dim_ + d) * k1 + k1,
-                            vt_grid.data() + d * vis + b * k1);
-                }
+                        std::copy(v_grids[hu].data() + d * committed,
+                                  v_grids[hu].data() + d * committed +
+                                      nb * k1,
+                                  vt_grid.data() + d * vis);
                 if (tlen > 0) {
                     Tensor tg = quantize_rows(vt_tail, *spec_.forward,
                                               spec_.rounding);
@@ -661,13 +669,14 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
                                   tg.data() + d * tlen + tlen,
                                   vt_grid.data() + d * vis + nb * k1);
                 }
-                crow = tensor::matmul_nt(
+                Tensor g = tensor::matmul_nt(
                     quantize_rows(prow, *spec_.forward, spec_.rounding),
                     vt_grid);
+                std::copy(g.data(), g.data() + head_dim_, crow);
             }
             float* row = concat.data() + i * d_model_ + h * head_dim_;
             for (std::int64_t j = 0; j < head_dim_; ++j)
-                row[j] += crow.data()[j];
+                row[j] += crow[j];
         }
     }
 

@@ -37,9 +37,9 @@ namespace nn {
  *    slab per COMPLETED k1-key block of transposed V (quantized along
  *    keys — the reduction dim of P V), plus the raw FP32 rows of the
  *    still-open tail block.  At ~(1 + m + overhead) bits per element
- *    this is ~4x smaller than FP32 rows, and the packed kernels
- *    consume the streams directly — warm decode never dequantizes the
- *    prefix.
+ *    this is ~4x smaller than FP32 rows, and warm decode runs the
+ *    packed NT GEMM on execution views decoded straight from the
+ *    streams — it never dequantizes the prefix.
  *
  *  - Legacy FP32 (`native == false`): [prefix, d_model] rows of the
  *    post-projection activations, re-quantized on use (FP32 specs and
@@ -57,7 +57,8 @@ struct AttnPrefixCache
     /// Per head: prefix byte-aligned packed rows of head_dim elements.
     std::vector<std::vector<std::uint8_t>> k_heads;
     /// Per completed k1-key block: a packed [d_model, k1] slab of
-    /// transposed V (one slab serves every head via row offsets).
+    /// transposed V.  A head's rows of every slab decode as one
+    /// [head_dim, slabs * k1] NT operand (PackedOperand::decode_slab_rows).
     std::vector<std::vector<std::uint8_t>> v_slabs;
     /// Raw FP32 V rows [prefix - k1 * v_slabs.size(), d_model] of the
     /// still-open tail block (completed slabs drop their raw floats).

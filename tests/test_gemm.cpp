@@ -667,66 +667,126 @@ TEST(PackedActAct, MultiBlockNtLegMatchesDequantizedReference)
     }
 }
 
-TEST(PackedActAct, NnLegBitMatchesNtOnEquivalentOperands)
-{
-    // The NN kernel leg consumes B as one packed chunk per k1-block
-    // (how P V reads the native V cache).  Block quantization is
-    // self-contained per k1 block, so quantizing each contraction
-    // slice separately yields the same encodings as slicing a full
-    // quantization — the NN result must equal the NT result
-    // bit-for-bit, ragged tail chunks and nonzero row_off included.
-    stats::Rng rng(122);
-    constexpr std::size_t k1 = 16;
-    for_each_dispatch([&](const char* leg) {
-        for (const auto& fmt : mx_formats()) {
-            for (std::int64_t k : {16, 48, 40}) {
-                const std::int64_t m = 4, n = 6, pad = 3;
-                Tensor x = spread_randn(m, k, rng);
-                Tensor b = spread_randn(n, k, rng);
-                const QuantPlan plan = make_quant_plan(fmt);
-                core::Rounder rounder;
-                const auto aop = gemm::PackedOperand::quantize(
-                    plan, x.data(), static_cast<std::size_t>(m),
-                    static_cast<std::size_t>(k), rounder);
-                const auto bop = gemm::PackedOperand::quantize(
-                    plan, b.data(), static_cast<std::size_t>(n),
-                    static_cast<std::size_t>(k), rounder);
-                const gemm::GemmPlan gp =
-                    gemm::make_gemm_plan(plan, plan);
-                Tensor nt = gemm::matmul_nt_prequant(gp, aop, bop);
+namespace {
 
-                // One chunk per k1-block: rows run along output
-                // columns, cols are the contraction slice.  Chunks are
-                // embedded at row_off = pad inside taller operands to
-                // pin the offset plumbing (a V slab serves every head
-                // through its row_off).
-                const std::size_t nblocks =
-                    (static_cast<std::size_t>(k) + k1 - 1) / k1;
-                std::vector<gemm::PackedOperand> chunks(nblocks);
-                for (std::size_t kb = 0; kb < nblocks; ++kb) {
-                    const std::size_t w = std::min(
-                        k1, static_cast<std::size_t>(k) - kb * k1);
-                    Tensor slab({pad + n, static_cast<std::int64_t>(w)});
-                    for (std::int64_t r = 0; r < pad + n; ++r)
-                        for (std::size_t c = 0; c < w; ++c)
-                            slab.data()[r * static_cast<std::int64_t>(w) +
-                                        static_cast<std::int64_t>(c)] =
-                                r < pad ? static_cast<float>(r + 1)
-                                        : b.data()[(r - pad) * k +
-                                                   static_cast<
-                                                       std::int64_t>(
-                                                       kb * k1 + c)];
-                    chunks[kb] = gemm::PackedOperand::quantize(
-                        plan, slab.data(),
-                        static_cast<std::size_t>(pad + n), w, rounder);
+/**
+ * Pack @p vt ([rows x cols] floats) as the native V cache stores it: one
+ * byte-aligned [pad + rows + pad, k1] slab per whole k1-column block,
+ * the operand's rows at [pad, pad + rows) and foreign rows (the other
+ * heads of a [d_model, k1] slab) around them.  Each slab is an exact-size
+ * heap buffer, so a read past its last block is an overflow.
+ */
+std::vector<std::vector<std::uint8_t>>
+pack_slabs(const QuantPlan& plan, const Tensor& vt, std::size_t pad,
+           std::size_t nslabs)
+{
+    const std::size_t k1 = static_cast<std::size_t>(plan.k1);
+    const std::size_t rows = static_cast<std::size_t>(vt.dim(0));
+    const std::size_t cols = static_cast<std::size_t>(vt.dim(1));
+    const std::size_t srows = pad + rows + pad;
+    core::Rounder rounder;
+    std::vector<std::vector<std::uint8_t>> slabs;
+    for (std::size_t b = 0; b < nslabs; ++b) {
+        std::vector<float> slab(srows * k1);
+        for (std::size_t r = 0; r < srows; ++r)
+            for (std::size_t c = 0; c < k1; ++c)
+                slab[r * k1 + c] =
+                    r < pad || r >= pad + rows
+                        ? static_cast<float>(r + 1)
+                        : vt.data()[(r - pad) * cols + b * k1 + c];
+        std::vector<std::uint8_t> bytes;
+        gemm::pack_rows_aligned(plan, slab.data(), srows, k1, rounder,
+                                bytes);
+        slabs.emplace_back(bytes.begin(), bytes.end());
+    }
+    return slabs;
+}
+
+} // namespace
+
+TEST(PackedActAct, SlabGemmPlusTailTermBitMatchesOnePieceNt)
+{
+    // How P V runs over the native V cache: one NT GEMM of the
+    // probability rows — columns past each row's committed blocks
+    // zeroed — against one head's V^T decoded from the slab streams,
+    // then each row's open tail block added by the one-block term.  A
+    // zero block adds +0 to an FP32 sum that started at +0, so every
+    // row must equal the one-piece contraction of [1, vis] against
+    // [head_dim, vis], bit for bit.  One row per vis, so rows with
+    // nb = 0, 1 and 3 committed blocks share the GEMM.
+    stats::Rng rng(124);
+    constexpr std::int64_t k1 = 16;
+    const std::int64_t vis_set[] = {k1 - 1, k1, k1 + 1, 3 * k1 + 5};
+    const std::int64_t rows = 4, committed = 3 * k1, keys = 3 * k1 + 5;
+    for_each_dispatch([&](const char* leg) {
+        for (const auto& fmt : pair_formats()) {
+            const QuantPlan plan = make_quant_plan(fmt);
+            const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
+            core::Rounder rounder;
+            for (std::int64_t head_dim : {7, 20, 33}) {
+                Tensor probs = spread_randn(rows, keys, rng);
+                Tensor vt = spread_randn(head_dim, keys, rng);
+                const auto slabs =
+                    pack_slabs(plan, vt, 3, committed / k1);
+                const auto vh = gemm::PackedOperand::decode_slab_rows(
+                    plan, slabs, 3, static_cast<std::size_t>(head_dim));
+
+                std::vector<float> masked(
+                    static_cast<std::size_t>(rows * committed), 0.0f);
+                for (std::int64_t i = 0; i < rows; ++i)
+                    std::copy(probs.data() + i * keys,
+                              probs.data() + i * keys +
+                                  vis_set[i] / k1 * k1,
+                              masked.data() + i * committed);
+                Tensor got = gemm::matmul_nt_prequant(
+                    gp,
+                    gemm::PackedOperand::quantize(
+                        plan, masked.data(), static_cast<std::size_t>(rows),
+                        static_cast<std::size_t>(committed), rounder),
+                    vh);
+
+                for (std::int64_t i = 0; i < rows; ++i) {
+                    const std::int64_t vis = vis_set[i];
+                    const std::int64_t t0 = vis / k1 * k1, tlen = vis - t0;
+                    // The row's visible V^T and its tail block.
+                    Tensor v_vis({head_dim, vis});
+                    for (std::int64_t d = 0; d < head_dim; ++d)
+                        std::copy(vt.data() + d * keys,
+                                  vt.data() + d * keys + vis,
+                                  v_vis.data() + d * vis);
+                    float* row = got.data() + i * head_dim;
+                    if (tlen > 0) {
+                        Tensor v_tail({head_dim, tlen});
+                        for (std::int64_t d = 0; d < head_dim; ++d)
+                            std::copy(v_vis.data() + d * vis + t0,
+                                      v_vis.data() + d * vis + vis,
+                                      v_tail.data() + d * tlen);
+                        gemm::add_block_term(
+                            gp,
+                            gemm::PackedOperand::quantize(
+                                plan, probs.data() + i * keys + t0, 1,
+                                static_cast<std::size_t>(tlen), rounder),
+                            gemm::PackedOperand::quantize(
+                                plan, v_tail.data(),
+                                static_cast<std::size_t>(head_dim),
+                                static_cast<std::size_t>(tlen), rounder),
+                            row);
+                    }
+                    Tensor want = gemm::matmul_nt_prequant(
+                        gp,
+                        gemm::PackedOperand::quantize(
+                            plan, probs.data() + i * keys, 1,
+                            static_cast<std::size_t>(vis), rounder),
+                        gemm::PackedOperand::quantize(
+                            plan, v_vis.data(),
+                            static_cast<std::size_t>(head_dim),
+                            static_cast<std::size_t>(vis), rounder));
+                    Tensor got_row({1, head_dim});
+                    std::copy(row, row + head_dim, got_row.data());
+                    EXPECT_TRUE(same_bits(got_row, want))
+                        << fmt.name << " head_dim=" << head_dim
+                        << " vis=" << vis << " leg=" << leg;
                 }
-                std::vector<gemm::NnBlockRef> refs;
-                for (const auto& c : chunks)
-                    refs.push_back({&c, static_cast<std::size_t>(pad)});
-                Tensor nn_out = gemm::matmul_nn_packed(
-                    gp, aop, refs, static_cast<std::size_t>(n));
-                EXPECT_EQ(tensor::max_abs_diff(nn_out, nt), 0.0)
-                    << fmt.name << " k=" << k << " leg=" << leg;
             }
         }
     });
@@ -773,6 +833,61 @@ TEST(PackedOperand, AlignedRowStreamAppendsAndDecodesExactly)
                     EXPECT_EQ(dec.row_exp(r)[b], enc.row_exp(r)[b]);
             }
         }
+    }
+}
+
+TEST(PackedOperand, SlabRowsDecodeEqualsConcatenatedSlabViews)
+{
+    // decode_slab_rows reads row r's block b from slab b: the result is
+    // the column concatenation of each slab's decode_rows view over the
+    // same rows.  Formats cover d2 = 0 (MSFP16, a BFP), a d1 = 11
+    // exponent field, k1 = 64, and blocks that are not whole bytes
+    // (d1 = 11: 147 bits; m = 2 with k2 = 4: 60 bits).  The row ranges
+    // include the slab's last row, so with exact-size slab buffers a
+    // sanitizer build catches any read past the last block.
+    stats::Rng rng(125);
+    const core::BdrFormat fmts[] = {
+        core::mx9(),  core::mx6(),
+        core::mx4(),  core::msfp16(),
+        core::bfp_custom(5, 8, 16),     core::mx_custom(7, 11, 16, 1, 2),
+        core::mx_custom(3, 8, 64, 2, 2), core::mx_custom(2, 8, 16, 1, 4)};
+    for (const auto& fmt : fmts) {
+        const QuantPlan plan = make_quant_plan(fmt);
+        const std::size_t k1 = static_cast<std::size_t>(plan.k1);
+        const std::size_t nslabs = 3, pad = 2, vrows = 19;
+        const std::size_t srows = pad + vrows + pad;
+        Tensor vt = spread_randn(static_cast<std::int64_t>(vrows),
+                                 static_cast<std::int64_t>(nslabs * k1),
+                                 rng);
+        const auto slabs = pack_slabs(plan, vt, pad, nslabs);
+        std::vector<gemm::PackedOperand> views;
+        for (const auto& slab : slabs)
+            views.push_back(
+                gemm::PackedOperand::decode_rows(plan, slab, srows, k1));
+        const std::size_t ranges[][2] = {
+            {0, srows}, {pad, vrows}, {srows - 1, 1}, {5, srows - 5}};
+        for (const auto& rg : ranges) {
+            const auto op = gemm::PackedOperand::decode_slab_rows(
+                plan, slabs, rg[0], rg[1]);
+            ASSERT_EQ(op.rows(), rg[1]);
+            ASSERT_EQ(op.cols(), nslabs * k1);
+            for (std::size_t r = 0; r < rg[1]; ++r)
+                for (std::size_t b = 0; b < nslabs; ++b) {
+                    const gemm::PackedOperand& v = views[b];
+                    EXPECT_EQ(op.row_exp(r)[b], v.row_exp(rg[0] + r)[0])
+                        << fmt.name << " row " << rg[0] + r << " slab "
+                        << b;
+                    for (std::size_t c = 0; c < k1; ++c)
+                        ASSERT_EQ(op.row_mantissa(r)[b * k1 + c],
+                                  v.row_mantissa(rg[0] + r)[c])
+                            << fmt.name << " row " << rg[0] + r
+                            << " slab " << b << " col " << c;
+                }
+        }
+        EXPECT_THROW(gemm::PackedOperand::decode_slab_rows(plan, slabs, 1,
+                                                           srows),
+                     ArgumentError)
+            << fmt.name << ": rows past the slab end";
     }
 }
 
@@ -869,62 +984,6 @@ TEST(PackedGemmThreading, NtEntryPointsBitIdenticalAcrossThreadCounts)
                 EXPECT_EQ(tensor::max_abs_diff(direct, base_aa), 0.0)
                     << fmt.name << " [" << cs.m << "," << cs.k << ","
                     << cs.n << "] leg=" << leg;
-            }
-        }
-    });
-}
-
-TEST(PackedGemmThreading, NnLegBitIdenticalAcrossThreadCounts)
-{
-    // One chunk per k1-block with a nonzero row_off, n past the tile
-    // width so the j grid really shards (the decode P V shape).
-    stats::Rng rng(131);
-    constexpr std::size_t k1 = 16;
-    const std::int64_t m = 5, n = 70, k = 48, pad = 2;
-    for_each_simd_level([&](const char* leg) {
-        for (const auto& fmt : mx_formats()) {
-            Tensor x = spread_randn(m, k, rng);
-            Tensor b = spread_randn(n, k, rng);
-            const QuantPlan plan = make_quant_plan(fmt);
-            core::Rounder rounder;
-            const auto aop = gemm::PackedOperand::quantize(
-                plan, x.data(), static_cast<std::size_t>(m),
-                static_cast<std::size_t>(k), rounder);
-            const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
-            const std::size_t nblocks =
-                (static_cast<std::size_t>(k) + k1 - 1) / k1;
-            std::vector<gemm::PackedOperand> chunks(nblocks);
-            for (std::size_t kb = 0; kb < nblocks; ++kb) {
-                const std::size_t w =
-                    std::min(k1, static_cast<std::size_t>(k) - kb * k1);
-                Tensor slab({pad + n, static_cast<std::int64_t>(w)});
-                for (std::int64_t r = 0; r < pad + n; ++r)
-                    for (std::size_t c = 0; c < w; ++c)
-                        slab.data()[r * static_cast<std::int64_t>(w) +
-                                    static_cast<std::int64_t>(c)] =
-                            r < pad ? static_cast<float>(r + 1)
-                                    : b.data()[(r - pad) * k +
-                                               static_cast<std::int64_t>(
-                                                   kb * k1 + c)];
-                chunks[kb] = gemm::PackedOperand::quantize(
-                    plan, slab.data(), static_cast<std::size_t>(pad + n),
-                    w, rounder);
-            }
-            std::vector<gemm::NnBlockRef> refs;
-            for (const auto& c : chunks)
-                refs.push_back({&c, static_cast<std::size_t>(pad)});
-            Tensor base;
-            {
-                ScopedGemmThreads serial(1);
-                base = gemm::matmul_nn_packed(
-                    gp, aop, refs, static_cast<std::size_t>(n));
-            }
-            for (std::size_t t : {std::size_t{2}, std::size_t{7}}) {
-                ScopedGemmThreads threads(t);
-                Tensor got = gemm::matmul_nn_packed(
-                    gp, aop, refs, static_cast<std::size_t>(n));
-                EXPECT_EQ(tensor::max_abs_diff(got, base), 0.0)
-                    << fmt.name << " t=" << t << " leg=" << leg;
             }
         }
     });
@@ -1065,58 +1124,6 @@ TEST(PackedGemmAvx512, ScalarAndAvx512BitIdentical)
         EXPECT_TRUE(std::isinf(cs_out.data()[0]) ||
                     std::isnan(cs_out.data()[0]));
         EXPECT_TRUE(same_bits(cs_out, cv_out)) << "E = 1024 stream";
-    }
-}
-
-TEST(PackedGemmAvx512, NnLegBitIdenticalToScalar)
-{
-    if (gemm::avx512_gemm_kernel() == nullptr ||
-        !core::kernels::avx512_supported())
-        GTEST_SKIP() << "no AVX-512/VNNI on this host/build";
-    // k = 80 gives 5 chunks: two VNNI block pairs + the odd trailing
-    // chunk; k = 40 adds the ragged tail chunk behind one pair.
-    stats::Rng rng(133);
-    constexpr std::size_t k1 = 16;
-    for (const auto& fmt : mx_formats()) {
-        for (std::int64_t k : {80, 40}) {
-            const std::int64_t m = 4, n = 9, pad = 1;
-            Tensor x = spread_randn(m, k, rng);
-            Tensor b = spread_randn(n, k, rng);
-            const QuantPlan plan = make_quant_plan(fmt);
-            core::Rounder rounder;
-            const auto aop = gemm::PackedOperand::quantize(
-                plan, x.data(), static_cast<std::size_t>(m),
-                static_cast<std::size_t>(k), rounder);
-            const gemm::GemmPlan gp = gemm::make_gemm_plan(plan, plan);
-            const std::size_t nblocks =
-                (static_cast<std::size_t>(k) + k1 - 1) / k1;
-            std::vector<gemm::PackedOperand> chunks(nblocks);
-            for (std::size_t kb = 0; kb < nblocks; ++kb) {
-                const std::size_t w =
-                    std::min(k1, static_cast<std::size_t>(k) - kb * k1);
-                Tensor slab({pad + n, static_cast<std::int64_t>(w)});
-                for (std::int64_t r = 0; r < pad + n; ++r)
-                    for (std::size_t c = 0; c < w; ++c)
-                        slab.data()[r * static_cast<std::int64_t>(w) +
-                                    static_cast<std::int64_t>(c)] =
-                            r < pad ? 2.0f
-                                    : b.data()[(r - pad) * k +
-                                               static_cast<std::int64_t>(
-                                                   kb * k1 + c)];
-                chunks[kb] = gemm::PackedOperand::quantize(
-                    plan, slab.data(), static_cast<std::size_t>(pad + n),
-                    w, rounder);
-            }
-            std::vector<gemm::NnBlockRef> refs;
-            for (const auto& c : chunks)
-                refs.push_back({&c, static_cast<std::size_t>(pad)});
-            Tensor sc({m, n}), vn({m, n});
-            gemm::scalar_gemm_kernel().gemm_nn(
-                gp, aop, refs, static_cast<std::size_t>(n), sc.data());
-            gemm::avx512_gemm_kernel()->gemm_nn(
-                gp, aop, refs, static_cast<std::size_t>(n), vn.data());
-            EXPECT_TRUE(same_bits(sc, vn)) << fmt.name << " k=" << k;
-        }
     }
 }
 

@@ -49,28 +49,57 @@ operator new[](std::size_t size)
     return ::operator new(size);
 }
 
+// The nothrow forms (std::stable_sort's temporary buffer uses them) must
+// allocate from the same malloc the replaced deletes free into.
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size ? size : 1);
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t& tag) noexcept
+{
+    return ::operator new(size, tag);
+}
+
+namespace {
+
+/** Every replaced delete frees through here.  Kept out of line: a
+ *  std::free inlined into a new-expression's cleanup path looks to
+ *  GCC's -Wmismatched-new-delete like freeing operator new's memory,
+ *  since it cannot see that operator new is malloc here. */
+[[gnu::noinline]] void
+release(void* p) noexcept
+{
+    std::free(p);
+}
+
+} // namespace
+
 void
 operator delete(void* p) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete[](void* p) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete(void* p, std::size_t) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 void
 operator delete[](void* p, std::size_t) noexcept
 {
-    std::free(p);
+    release(p);
 }
 
 namespace {

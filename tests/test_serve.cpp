@@ -8,7 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <stdexcept>
 #include <thread>
@@ -841,6 +844,108 @@ TEST(DecodeSession, SlabCommitTruncateRetreatAndNativeFootprint)
     EXPECT_LE(packed * 3, fp32)
         << "native cache " << packed << " B not >=3x under FP32 "
         << fp32 << " B";
+}
+
+TEST(DecodeSession, WarmPvAcrossSlabsBitIdenticalAcrossSimdAndThreads)
+{
+    // Warm P V runs as one NT GEMM per head over the committed V slabs
+    // plus each query's open tail block.  A one-shot prefill (many query
+    // rows, each seeing its own number of slabs) followed by warm steps
+    // across three more k1 = 16 slab boundaries must produce the same
+    // logits bits on every SIMD level and GEMM lane count.  head_dim =
+    // 20 leaves a ragged 16-column group.
+    const gemm::Mode ambient_mode = gemm::mode();
+    gemm::set_mode(gemm::Mode::On);
+    models::TransformerConfig cfg;
+    cfg.vocab = 16;
+    cfg.d_model = 40;
+    cfg.heads = 2;
+    cfg.layers = 2;
+    cfg.seq_len = 72;
+    cfg.spec = nn::QuantSpec::forward_only(core::mx9());
+    cfg.seed = 47;
+    models::GptMini model(cfg);
+    model.freeze();
+
+    const auto run = [&] {
+        std::vector<Tensor> steps;
+        models::GptDecodeSession session;
+        std::vector<int> ctx;
+        for (int i = 0; i < 21; ++i)
+            ctx.push_back((7 * i + 2) % cfg.vocab);
+        while (ctx.size() < 70) {
+            steps.push_back(model.decode_logits(ctx, &session));
+            ctx.push_back(argmax_row(steps.back().data(), cfg.vocab));
+        }
+        EXPECT_TRUE(session.layers.at(0).native);
+        EXPECT_EQ(session.layers.at(0).v_slabs.size(), 4u);
+        return steps;
+    };
+
+    namespace ck = core::kernels;
+    std::vector<ck::SimdLevel> levels = {ck::SimdLevel::Scalar};
+    if (ck::avx2_supported())
+        levels.push_back(ck::SimdLevel::Avx2);
+    if (ck::avx512_supported())
+        levels.push_back(ck::SimdLevel::Avx512);
+    std::vector<Tensor> base;
+    for (ck::SimdLevel level : levels) {
+        ck::set_simd_level(level);
+        for (std::size_t threads : {1, 2, 7}) {
+            gemm::set_gemm_threads(threads);
+            const std::vector<Tensor> got = run();
+            if (base.empty()) {
+                base = got;
+                continue;
+            }
+            ASSERT_EQ(got.size(), base.size());
+            for (std::size_t st = 0; st < got.size(); ++st)
+                for (std::int64_t j = 0; j < got[st].numel(); ++j)
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(got[st].data()[j]),
+                              std::bit_cast<std::uint32_t>(
+                                  base[st].data()[j]))
+                        << "level " << static_cast<int>(level) << " threads "
+                        << threads << " step " << st << " logit " << j;
+        }
+    }
+    gemm::set_gemm_threads(0);
+    ck::reset_simd_level();
+    gemm::set_mode(ambient_mode);
+}
+
+TEST(DecodeSession, PackedPvTracksGridFallbackAcrossSlabs)
+{
+    // The packed P V (one GEMM per head over the committed slabs, each
+    // row's later columns zeroed, plus the tail block term) and the
+    // grid fallback (the visible V^T assembled per query from
+    // dequantized encodings, contracted in FP32) read the same stored
+    // blocks, so their logits differ only by FP32 accumulation order
+    // and the re-quantization flips it can cause downstream.  A lost,
+    // doubled or misplaced block of keys moves them far more.
+    const gemm::Mode ambient_mode = gemm::mode();
+    models::GptMini model = make_decode_gpt_fmt(core::mx9(), 64, 2);
+    const auto& cfg = model.config();
+    std::vector<int> ctx;
+    for (int i = 0; i < 37; ++i)
+        ctx.push_back((5 * i + 1) % cfg.vocab);
+    double worst = 0.0;
+    models::GptDecodeSession packed_s, grid_s;
+    while (ctx.size() < 62) {
+        gemm::set_mode(gemm::Mode::On);
+        Tensor packed = model.decode_logits(ctx, &packed_s);
+        gemm::set_mode(gemm::Mode::Off);
+        Tensor grid = model.decode_logits(ctx, &grid_s);
+        double scale = 0.0;
+        for (std::int64_t j = 0; j < grid.numel(); ++j)
+            scale = std::max(scale,
+                             std::fabs(static_cast<double>(grid.data()[j])));
+        worst = std::max(worst,
+                         tensor::max_abs_diff(packed, grid) / scale);
+        ctx.push_back(argmax_row(grid.data(), cfg.vocab));
+    }
+    gemm::set_mode(ambient_mode);
+    EXPECT_TRUE(packed_s.layers.at(0).native);
+    EXPECT_LE(worst, 1e-3);
 }
 
 TEST(SessionCache, ByteAccountingTracksResidencyAndEviction)
