@@ -21,8 +21,8 @@
  *    spam the log).
  *
  * Knobs routed through here: MX_THREADS, MX_FORCE_SCALAR,
- * MX_FORCE_AVX2, MX_GEMM, MX_GEMM_THREADS, MX_GEMM_VERIFY,
- * MX_SERVE_BATCH, MX_SERVE_QUEUE, MX_SERVE_REPLICAS, MX_SERVE_SESSIONS.
+ * MX_FORCE_AVX2, MX_GEMM, MX_GEMM_THREADS, MX_SERVE_BATCH,
+ * MX_SERVE_QUEUE, MX_SERVE_REPLICAS, MX_SERVE_SESSIONS.
  * (MX_TRACE and MX_METRICS are output paths, read raw by src/obs.)
  * The environment is re-read on every call (knob
  * caching, where wanted, is the call site's business — and several

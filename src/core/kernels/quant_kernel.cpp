@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <vector>
 
 #include "core/check.h"
 
@@ -127,10 +128,45 @@ reference_quantize_block(const QuantPlan& plan, const float* in,
             const double deq = q * step;
             const bool neg = std::signbit(in[i]);
             out[i] = static_cast<float>(neg ? -deq : deq);
+            // A NaN has no integer value: it takes INT32_MIN, what the
+            // x86 conversion has always returned here, written out so
+            // the cast is defined and streams and views keep their
+            // bits until NaN gets an encoding of its own.
             if (mant_out)
-                mant_out[i] = static_cast<std::int32_t>(neg ? -q : q);
+                mant_out[i] = q == q ? static_cast<std::int32_t>(neg ? -q : q)
+                                     : INT32_MIN;
         }
     }
+    return shared_e;
+}
+
+int
+reference_quantize_fold_block(const QuantPlan& plan, const float* in,
+                              std::size_t n, const Rounder& rounder,
+                              std::int16_t* folded)
+{
+    // Block scratch: on the stack up to 512 elements, the heap beyond.
+    constexpr std::size_t kStack = 512;
+    float grid_stack[kStack];
+    std::uint8_t tau_stack[kStack];
+    std::int32_t mant_stack[kStack];
+    std::vector<float> grid_heap;
+    std::vector<std::uint8_t> tau_heap;
+    std::vector<std::int32_t> mant_heap;
+    float* grid = grid_stack;
+    std::uint8_t* tau = tau_stack;
+    std::int32_t* mant = mant_stack;
+    if (n > kStack) {
+        grid_heap.resize(n);
+        tau_heap.resize(plan.num_sub_blocks(n));
+        mant_heap.resize(n);
+        grid = grid_heap.data();
+        tau = tau_heap.data();
+        mant = mant_heap.data();
+    }
+    const int shared_e =
+        reference_quantize_block(plan, in, n, grid, rounder, tau, mant);
+    detail::fold_block(plan, mant, tau, n, folded);
     return shared_e;
 }
 

@@ -10,7 +10,8 @@
  * QuantKernel is the execute side: an implementation provides contiguous
  * quantize (fake quantization of a whole span), per-block quantize with
  * integer encoding output, fused quantize+pack straight into an LSB-first
- * bit stream, and block dequantize.
+ * bit stream, fused quantize+fold of a whole matrix straight into the
+ * packed-GEMM int16 execution view, and block dequantize.
  *
  * Implementations:
  *  - scalar_kernel(): the portable reference, numerically identical to
@@ -116,6 +117,19 @@ int reference_quantize_block(const QuantPlan& plan, const float* in,
                              std::uint8_t* tau_out, std::int32_t* mant_out);
 
 /**
+ * Reference encoding of one block straight into the packed-GEMM
+ * execution view: reference_quantize_block, then the fold
+ * M' = M << (beta - tau) (detail::fold_block) into @p folded (n
+ * entries; requires m + beta <= 15 so every M' fits int16).  The
+ * semantics QuantKernel::quantize_fold_rows must match bit-for-bit.
+ *
+ * @return the block's shared exponent.
+ */
+int reference_quantize_fold_block(const QuantPlan& plan, const float* in,
+                                  std::size_t n, const Rounder& rounder,
+                                  std::int16_t* folded);
+
+/**
  * Reference block dequantization: @p mant / @p taus / @p shared_exp as
  * produced by reference_quantize_block, written back as floats.
  */
@@ -163,6 +177,25 @@ class QuantKernel
                                std::span<const float> in,
                                const Rounder& rounder,
                                BitWriter& writer) const = 0;
+
+    /**
+     * Fused quantize+fold of a row-major [rows x cols] matrix (no block
+     * straddles a row) straight into the packed-GEMM int16 execution
+     * view (gemm/packed_operand.h) — the activation-side encoder, one
+     * call per operand, no dequantized grid.  @p mant receives the
+     * rows * cols folded mantissas M << (beta - tau); @p exp receives
+     * each block's shared exponent in the grouped layout: rows in
+     * groups of @p group_rows, block-major inside a group, so row r's
+     * block b lands at (r / G) * blocks_per_row * G + b * G + r % G.
+     * Entries of @p exp that belong to no row are not written.
+     * Requires m + beta <= 15 (every M' fits int16); the encodings are
+     * exactly reference_quantize_fold_block's.
+     */
+    virtual void quantize_fold_rows(const QuantPlan& plan, const float* in,
+                                    std::size_t rows, std::size_t cols,
+                                    const Rounder& rounder,
+                                    std::int16_t* mant, std::int16_t* exp,
+                                    std::size_t group_rows) const = 0;
 
     /** Dequantize one encoded block into @p out (size = mantissa count). */
     virtual void dequantize_block(const QuantPlan& plan,
@@ -213,6 +246,30 @@ pow2_double(int e)
 }
 
 /**
+ * Fold one block's @p n signed mantissas into the execution view:
+ * out[i] = mant[i] << (beta - tau of i's sub-block), the sub-block index
+ * advancing every k2 elements.  Shared by the reference encoder
+ * (reference_quantize_fold_block) and PackedOperand's stream decoders.
+ */
+inline void
+fold_block(const QuantPlan& plan, const std::int32_t* mant,
+           const std::uint8_t* tau, std::size_t n, std::int16_t* out)
+{
+    const std::size_t k2 = static_cast<std::size_t>(plan.k2);
+    std::size_t s = 0, next = k2;
+    for (std::size_t i = 0; i < n; ++i) {
+        if (i == next) {
+            ++s;
+            next += k2;
+        }
+        // Unsigned, so the shift is defined for every int32 (a NaN's
+        // INT32_MIN folds to 0); valid mantissas fit int16 exactly.
+        out[i] = static_cast<std::int16_t>(
+            static_cast<std::uint32_t>(mant[i]) << (plan.beta - tau[s]));
+    }
+}
+
+/**
  * Emit one quantized block's fields into the packed stream — the layout
  * documented in formats/block_codec.h ([d1-bit biased shared exponent]
  * [n_sub x d2-bit sub-shifts][n x (sign | mantissa << 1) codes]).
@@ -230,8 +287,10 @@ write_block_bits(const QuantPlan& plan, int shared_exp,
     for (std::size_t i = 0; i < n; ++i) {
         const std::int32_t man = mant[i];
         const std::uint64_t sign = man < 0 ? 1 : 0;
-        const std::uint64_t mag =
-            static_cast<std::uint64_t>(man < 0 ? -man : man);
+        // Negated as unsigned: defined for INT32_MIN (a NaN's mantissa),
+        // whose magnitude bits then write as 0.
+        const std::uint32_t u = static_cast<std::uint32_t>(man);
+        const std::uint64_t mag = man < 0 ? 0u - u : u;
         w.write(sign | (mag << 1), 1 + plan.m);
     }
 }

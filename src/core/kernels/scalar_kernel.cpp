@@ -91,6 +91,30 @@ class ScalarKernel final : public QuantKernel
     }
 
     void
+    quantize_fold_rows(const QuantPlan& plan, const float* in,
+                       std::size_t rows, std::size_t cols,
+                       const Rounder& rounder, std::int16_t* mant,
+                       std::int16_t* exp,
+                       std::size_t group_rows) const override
+    {
+        MX_CHECK_ARG(plan.m + plan.beta <= 15,
+                     "quantize_fold_rows: folded mantissa wider than int16");
+        const std::size_t k1 = static_cast<std::size_t>(plan.k1);
+        const std::size_t bpr = (cols + k1 - 1) / k1;
+        for (std::size_t r = 0; r < rows; ++r) {
+            std::int16_t* e = exp + (r / group_rows) * bpr * group_rows +
+                              r % group_rows;
+            for (std::size_t off = 0; off < cols;
+                 off += k1, e += group_rows) {
+                const std::size_t n = std::min(k1, cols - off);
+                *e = static_cast<std::int16_t>(reference_quantize_fold_block(
+                    plan, in + r * cols + off, n, rounder,
+                    mant + r * cols + off));
+            }
+        }
+    }
+
+    void
     dequantize_block(const QuantPlan& plan, const Pow2BlockEncoding& enc,
                      std::span<float> out) const override
     {

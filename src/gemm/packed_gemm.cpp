@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -74,12 +73,6 @@ env_mode()
          {"0", static_cast<int>(Mode::Off)},
          {"off", static_cast<int>(Mode::Off)},
          {"false", static_cast<int>(Mode::Off)}});
-}
-
-bool
-env_verifies_gemm()
-{
-    return core::env::flag_knob("MX_GEMM_VERIFY", false);
 }
 
 void
@@ -206,34 +199,6 @@ run_gemm(const PackedGemmKernel& kernel, const GemmPlan& plan,
     run_tiled(a.rows(), b.rows(), [&](const Tile& t) {
         kernel.gemm_tile(plan, a, b, t, c, b.rows());
     });
-}
-
-/** Shared divergence check of a packed result against an FP64-accumulated
- *  dequantized reference (behind MX_GEMM_VERIFY=1). */
-void
-check_against(const tensor::Tensor& ref, const float* c)
-{
-    double cmax = 0.0;
-    for (std::int64_t i = 0; i < ref.numel(); ++i)
-        cmax = std::max(cmax, std::fabs(static_cast<double>(ref.data()[i])));
-    for (std::int64_t i = 0; i < ref.numel(); ++i) {
-        const double diff =
-            std::fabs(static_cast<double>(c[i]) - ref.data()[i]);
-        // The packed path accumulates across blocks in FP32 where the
-        // reference accumulates in FP64; the divergence bound is a few
-        // float ulps of the result magnitude per block.
-        MX_CHECK(diff <= 1e-4 * std::max(cmax, 1e-30),
-                 "MX_GEMM_VERIFY: packed GEMM diverged from the "
-                 "dequantized reference by " << diff << " at index " << i);
-    }
-}
-
-/** Dequantized-reference cross-check of the NT leg. */
-void
-verify_against_reference(const PackedOperand& a, const PackedOperand& b,
-                         const float* c)
-{
-    check_against(tensor::matmul_nt(dequantize(a), dequantize(b)), c);
 }
 
 } // namespace
@@ -387,9 +352,6 @@ matmul_nt_packed(const tensor::Tensor& x,
         {x.dim(0), static_cast<std::int64_t>(w.rows())});
     run_gemm(active_gemm_kernel(), plan, a, w, c.data());
     count_call();
-    static const bool verify = env_verifies_gemm();
-    if (verify)
-        verify_against_reference(a, w, c.data());
     return c;
 }
 
@@ -425,9 +387,6 @@ matmul_nt_prequant(const GemmPlan& plan, const PackedOperand& a,
                       static_cast<std::int64_t>(b.rows())});
     run_gemm(active_gemm_kernel(), plan, a, b, c.data());
     count_call();
-    static const bool verify = env_verifies_gemm();
-    if (verify)
-        verify_against_reference(a, b, c.data());
     return c;
 }
 

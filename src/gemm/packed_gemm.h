@@ -74,8 +74,6 @@
  *   MX_GEMM_THREADS=N shard output tiles across N lanes (default: the
  *                     shared pool size; 1 = serial, today's behavior;
  *                     0/negative clamp to 1)
- *   MX_GEMM_VERIFY=1  cross-check every packed GEMM against the
- *                     dequantized reference matmul (debugging)
  */
 
 #include <cstdint>

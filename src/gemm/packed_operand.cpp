@@ -87,25 +87,6 @@ PackedOperand::memory_bytes() const
 
 namespace {
 
-/** Fold one block's @p n mantissas: out[i] = mant[i] << (beta - tau of
- *  i's sub-block); the sub-block index advances every k2 elements. */
-template <typename Mant>
-void
-fold_block(const QuantPlan& plan, const Mant* mant, const std::uint8_t* tau,
-           std::size_t n, std::int16_t* out)
-{
-    const std::size_t k2 = static_cast<std::size_t>(plan.k2);
-    std::size_t s = 0, next = k2;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i == next) {
-            ++s;
-            next += k2;
-        }
-        out[i] = static_cast<std::int16_t>(mant[i] *
-                                           (1 << (plan.beta - tau[s])));
-    }
-}
-
 /** Stream bits of one whole k1-block: the stride between a row's
  *  consecutive blocks (only a row's last block may be shorter). */
 std::size_t
@@ -137,7 +118,8 @@ PackedOperand::decode_blocks(const QuantPlan& plan, std::size_t rows,
                 core::kernels::detail::read_block_bits(
                     plan, at.stream.data(), at.stream.size(), pos,
                     tau.data(), plan.num_sub_blocks(n), raw.data(), n));
-            fold_block(plan, raw.data(), tau.data(), n, mant + off);
+            core::kernels::detail::fold_block(plan, raw.data(), tau.data(),
+                                              n, mant + off);
         }
     }
     return op;
@@ -204,25 +186,9 @@ PackedOperand::quantize(const QuantPlan& plan, const float* x,
                         const core::Rounder& rounder)
 {
     PackedOperand op(plan, rows, cols);
-    const core::kernels::QuantKernel& kernel =
-        core::kernels::active_kernel();
-    const std::size_t k1 = static_cast<std::size_t>(plan.k1);
-    std::vector<float> grid(k1); // dequantized scratch (discarded)
-    core::Pow2BlockEncoding enc; // reused; assign keeps capacity
-    for (std::size_t r = 0; r < rows; ++r) {
-        std::int16_t* mant = op.mantissa_.data() + r * cols;
-        std::int16_t* exp = op.exp_.data() + op.exp_index(r);
-        for (std::size_t off = 0; off < cols;
-             off += k1, exp += kExpGroupRows) {
-            const std::size_t n = std::min(k1, cols - off);
-            kernel.quantize_block(
-                plan, std::span<const float>(x + r * cols + off, n),
-                std::span<float>(grid.data(), n), rounder, &enc);
-            *exp = static_cast<std::int16_t>(enc.shared_exp);
-            fold_block(plan, enc.mantissa.data(), enc.sub_shift.data(), n,
-                       mant + off);
-        }
-    }
+    core::kernels::active_kernel().quantize_fold_rows(
+        plan, x, rows, cols, rounder, op.mantissa_.data(), op.exp_.data(),
+        kExpGroupRows);
     return op;
 }
 

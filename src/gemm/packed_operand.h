@@ -32,10 +32,20 @@
  *
  * Two builders cover both GEMM operands:
  *  - decode():   bit stream -> view (weights, built once at freeze);
- *  - quantize(): floats -> view through the dispatched QuantKernel
- *                (activations, built per call — the same quantization
- *                the fake-quant path applies, captured as encodings
- *                instead of being rounded back to floats).
+ *  - quantize(): floats -> view (activations, built per call) in ONE
+ *                dispatched QuantKernel::quantize_fold_rows call: each
+ *                block's shared exponent goes straight into the
+ *                grouped exponent layout and its folded int16
+ *                mantissas straight into the row — no dequantized grid,
+ *                no per-block virtual call, no second pass.  The
+ *                encodings are the fake-quant path's (the scalar leg
+ *                IS reference_quantize_block plus the fold); the AVX2
+ *                leg keeps a block in registers, ragged tails included
+ *                (masked loads), and hands the reference only the
+ *                blocks it cannot mirror exactly.  Every activation
+ *                operand is built here: Linear inputs, the shared
+ *                Q/K/V input, Q for Q.K^T, P for P.V and each query
+ *                row's 1..k1-1 wide V^T tail.
  *
  * Reading the stream.  The decoders are block-addressed: each says
  * where every (row, k1-block) starts — a stream and a bit offset — and
@@ -45,8 +55,10 @@
  * block through core::kernels::detail::read_block_bits (the inverse of
  * the packers' write_block_bits: unaligned 64-bit window loads, no
  * per-field bounds check) and folds the shifts in a second pass over
- * the block.  The second pass is the faster order for MX9's byte-wide
- * codes, whose read loop vectorizes only while it does nothing else.
+ * the block (core::kernels::detail::fold_block, the fold the reference
+ * encoder applies too).  The second pass is the faster order for MX9's
+ * byte-wide codes, whose read loop vectorizes only while it does
+ * nothing else.
  * decode_rows() and decode_slab_rows() are on the serving hot path: a
  * warm attention step rebuilds the view of each layer's whole packed K
  * prefix and each head's committed V^T (nn/attention.cpp, span
@@ -130,9 +142,10 @@ class PackedOperand
 
     /**
      * Quantize a float matrix straight into the execution view through
-     * the dispatched QuantKernel — the activation-side builder.  The
-     * integer encodings are identical to what quantize_rows would
-     * produce before its final dequantize-to-grid step.
+     * the dispatched QuantKernel::quantize_fold_rows — the
+     * activation-side builder.  The integer encodings are identical to
+     * what quantize_rows would produce before its final
+     * dequantize-to-grid step, and to decode() of the packed stream.
      */
     static PackedOperand quantize(const core::kernels::QuantPlan& plan,
                                   const float* x, std::size_t rows,

@@ -575,6 +575,9 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
             v_grids.push_back(gemm::dequantize(op));
     }
 
+    // One query row's transposed raw V tail [head_dim, tlen], refilled
+    // for every (head, row): a tail is shorter than one block.
+    std::vector<float> vt_tail(static_cast<std::size_t>(head_dim_ * (k1 - 1)));
     for (std::int64_t h = 0; h < heads_; ++h) {
         const auto hu = static_cast<std::size_t>(h);
         Tensor qh = take_head(q_suf, s, h);
@@ -626,11 +629,9 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
             const std::int64_t vis = p + i + 1;
             const std::int64_t nb = vis / k1; // full slabs visible
             const std::int64_t tlen = vis - nb * k1;
-            // Transposed raw tail [head_dim, tlen] for this head.
-            Tensor vt_tail({head_dim_, std::max<std::int64_t>(tlen, 1)});
             for (std::int64_t d = 0; d < head_dim_; ++d)
                 for (std::int64_t t = 0; t < tlen; ++t)
-                    vt_tail.data()[d * tlen + t] =
+                    vt_tail[static_cast<std::size_t>(d * tlen + t)] =
                         raw_all[static_cast<std::size_t>(
                             (nb * k1 + t - raw_base) * d_model_ +
                             h * head_dim_ + d)];
@@ -662,8 +663,12 @@ MultiHeadAttention::forward_suffix(const Tensor& x_suffix,
                                       nb * k1,
                                   vt_grid.data() + d * vis);
                 if (tlen > 0) {
-                    Tensor tg = quantize_rows(vt_tail, *spec_.forward,
-                                              spec_.rounding);
+                    Tensor tg = quantize_rows(
+                        Tensor({head_dim_, tlen},
+                               std::vector<float>(
+                                   vt_tail.begin(),
+                                   vt_tail.begin() + head_dim_ * tlen)),
+                        *spec_.forward, spec_.rounding);
                     for (std::int64_t d = 0; d < head_dim_; ++d)
                         std::copy(tg.data() + d * tlen,
                                   tg.data() + d * tlen + tlen,

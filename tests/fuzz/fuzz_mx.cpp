@@ -17,9 +17,17 @@
  *          view equals a bit-serial BitReader decode of the same bytes
  *          field for field (a mismatch aborts), and no window reads
  *          past the buffer.
+ *   leg 3: gemm::PackedOperand::quantize — the activation encoder over
+ *          arbitrary floats.  The first payload byte picks the format
+ *          and the width; the rest, read as raw float bits (NaN, +-Inf
+ *          and denormals included), fills a [rows x cols] operand.
+ *          Contract: every SIMD level the host offers builds the same
+ *          view as the scalar level, and that view equals
+ *          decode_rows(pack_rows_aligned(x)) field for field (a
+ *          mismatch aborts).
  *
- * The first input byte selects the leg (its value mod 3); the rest is
- * the payload, so one corpus (seeded from tests/data/) drives all three.
+ * The first input byte selects the leg (its value mod 4); the rest is
+ * the payload, so one corpus (seeded from tests/data/) drives all four.
  *
  * Built two ways by tests/fuzz/CMakeLists.txt:
  *   * Clang: -fsanitize=fuzzer, libFuzzer provides main() — the real
@@ -34,6 +42,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <iterator>
 #include <memory>
 #include <span>
@@ -45,6 +54,7 @@
 #include "core/bdr_format.h"
 #include "core/bitstream.h"
 #include "core/check.h"
+#include "core/kernels/dispatch.h"
 #include "core/kernels/quant_kernel.h"
 #include "gemm/gemm_plan.h"
 #include "gemm/packed_operand.h"
@@ -110,14 +120,22 @@ fuzz_bit_reader(const std::uint8_t* data, std::size_t size)
     (void)sink;
 }
 
-void
-fuzz_block_decode(const std::uint8_t* data, std::size_t size)
+/**
+ * The format and width that selector byte @p sel picks for legs 2 and 3:
+ * byte-aligned 8-bit codes (MX9), windowed codes (MX6, MX4), d2 = 0
+ * (MSFP16, BFP), d1 = 11, a header wider than one window (k1 = 64,
+ * k2 = 2, d2 = 2), and k2 = 3 (the encoder's per-element shift table,
+ * with a short chunk inside every block); widths 1..2 * k1 + 1.
+ */
+struct Shape
 {
-    if (size == 0)
-        return;
-    // Formats with every reader path: byte-aligned 8-bit codes (MX9),
-    // windowed codes (MX6, MX4), d2 = 0 (MSFP16, BFP), d1 = 11, and a
-    // header wider than one window (k1 = 64, k2 = 2, d2 = 2).
+    mx::core::kernels::QuantPlan plan;
+    std::size_t cols = 0;
+};
+
+Shape
+pick_shape(std::uint8_t sel)
+{
     static const mx::core::BdrFormat formats[] = {
         mx::core::mx9(),
         mx::core::mx6(),
@@ -126,15 +144,23 @@ fuzz_block_decode(const std::uint8_t* data, std::size_t size)
         mx::core::bfp_custom(5, 8, 32),
         mx::core::mx_custom(7, 11, 16, 1, 2),
         mx::core::mx_custom(3, 8, 64, 2, 2),
+        mx::core::mx_custom(5, 8, 24, 2, 3),
     };
     constexpr std::size_t kFormats = std::size(formats);
-    const std::uint8_t sel = data[0];
-    const mx::core::BdrFormat& fmt = formats[sel % kFormats];
-    const mx::core::kernels::QuantPlan plan =
-        mx::core::kernels::make_quant_plan(fmt);
-    // Ragged and aligned widths: 1..2 * k1 + 1 columns.
+    Shape shape;
+    shape.plan = mx::core::kernels::make_quant_plan(formats[sel % kFormats]);
+    const std::size_t k1 = static_cast<std::size_t>(shape.plan.k1);
+    shape.cols = 1 + (sel / kFormats) % (2 * k1 + 1);
+    return shape;
+}
+
+void
+fuzz_block_decode(const std::uint8_t* data, std::size_t size)
+{
+    if (size == 0)
+        return;
+    const auto [plan, cols] = pick_shape(data[0]);
     const std::size_t k1 = static_cast<std::size_t>(plan.k1);
-    const std::size_t cols = 1 + (sel / kFormats) % (2 * k1 + 1);
     const std::size_t stride = mx::gemm::row_stream_bytes(plan, cols);
     const std::size_t rows = (size - 1) / stride;
     if (rows == 0)
@@ -175,6 +201,54 @@ fuzz_block_decode(const std::uint8_t* data, std::size_t size)
     }
 }
 
+/** Abort unless @p a and @p b are the same view field for field. */
+void
+require_same_view(const mx::gemm::PackedOperand& a,
+                  const mx::gemm::PackedOperand& b)
+{
+    if (a.rows() != b.rows() || a.cols() != b.cols())
+        std::abort();
+    for (std::size_t r = 0; r < a.rows(); ++r) {
+        if (!std::equal(a.row_mantissa(r), a.row_mantissa(r) + a.cols(),
+                        b.row_mantissa(r)))
+            std::abort();
+        for (std::size_t blk = 0; blk < a.blocks_per_row(); ++blk)
+            if (a.row_exp(r)[blk] != b.row_exp(r)[blk])
+                std::abort();
+    }
+}
+
+void
+fuzz_encoder(const std::uint8_t* data, std::size_t size)
+{
+    namespace ck = mx::core::kernels;
+    if (size == 0)
+        return;
+    const auto [plan, cols] = pick_shape(data[0]);
+    const std::size_t rows = (size - 1) / sizeof(float) / cols;
+    if (rows == 0)
+        return;
+    std::vector<float> x(rows * cols);
+    std::memcpy(x.data(), data + 1, x.size() * sizeof(float));
+    const mx::core::Rounder rounder;
+
+    ck::set_simd_level(ck::SimdLevel::Scalar);
+    const mx::gemm::PackedOperand ref =
+        mx::gemm::PackedOperand::quantize(plan, x.data(), rows, cols,
+                                          rounder);
+    std::vector<std::uint8_t> stream;
+    mx::gemm::pack_rows_aligned(plan, x.data(), rows, cols, rounder, stream);
+    require_same_view(ref, mx::gemm::PackedOperand::decode_rows(
+                               plan, stream, rows, cols));
+    for (const ck::SimdLevel level :
+         {ck::SimdLevel::Avx2, ck::SimdLevel::Avx512}) {
+        ck::set_simd_level(level); // capped at what the host runs
+        require_same_view(ref, mx::gemm::PackedOperand::quantize(
+                                   plan, x.data(), rows, cols, rounder));
+    }
+    ck::reset_simd_level();
+}
+
 } // namespace
 
 extern "C" int
@@ -182,15 +256,18 @@ LLVMFuzzerTestOneInput(const std::uint8_t* data, std::size_t size)
 {
     if (size == 0)
         return 0;
-    switch (data[0] % 3) {
+    switch (data[0] % 4) {
       case 0:
         fuzz_artifact_open(data + 1, size - 1);
         break;
       case 1:
         fuzz_bit_reader(data + 1, size - 1);
         break;
-      default:
+      case 2:
         fuzz_block_decode(data + 1, size - 1);
+        break;
+      default:
+        fuzz_encoder(data + 1, size - 1);
         break;
     }
     return 0;
@@ -218,8 +295,8 @@ replay_file(const std::string& path)
     // Replay under every leg regardless of the selector byte so a
     // seed corpus of real artifacts exercises the BitReader and the
     // block decode too.
-    for (std::uint8_t selector :
-         {std::uint8_t{0}, std::uint8_t{1}, std::uint8_t{2}}) {
+    for (std::uint8_t selector : {std::uint8_t{0}, std::uint8_t{1},
+                                  std::uint8_t{2}, std::uint8_t{3}}) {
         std::vector<std::uint8_t> input;
         input.reserve(bytes.size() + 1);
         input.push_back(selector);

@@ -60,6 +60,26 @@ for_each_dispatch(Fn&& body)
     core::kernels::set_force_scalar(false);
 }
 
+/** Run @p body once per SIMD level this host/build can execute,
+ *  pinned via the dispatch test hook; restores the env resolution. */
+template <typename Fn>
+void
+for_each_simd_level(Fn&& body)
+{
+    namespace ck = core::kernels;
+    ck::set_simd_level(ck::SimdLevel::Scalar);
+    body("scalar");
+    if (ck::avx2_supported()) {
+        ck::set_simd_level(ck::SimdLevel::Avx2);
+        body("avx2");
+    }
+    if (ck::avx512_supported()) {
+        ck::set_simd_level(ck::SimdLevel::Avx512);
+        body("avx512");
+    }
+    ck::reset_simd_level();
+}
+
 std::vector<core::BdrFormat>
 mx_formats()
 {
@@ -231,6 +251,52 @@ TEST(GemmPlan, MismatchedK1AndWideMantissaRejected)
 // and exposes per-row stream offsets.
 // ---------------------------------------------------------------------------
 
+namespace {
+
+/** [rows x cols] encoder probe: seven edge-valued rows, then random
+ *  rows with per-row magnitude spread (19 rows cross an exponent
+ *  group).  Edge rows: all +0; alternating +0/-0; +-FLT_MAX among unit
+ *  values; denormals among normal values (their sub-blocks clamp to
+ *  tau = beta); exact rounding ties for @p plan (every value is 1 plus
+ *  an odd number of half steps, so the block exponent is 0 and every
+ *  tau is 0); a block exponent of -130, below the vector encoder's
+ *  fallback guard, whose denormal sub-blocks need their true exponent
+ *  (tau = beta and an odd mantissa); amax 1.5 * 2^(beta - 127), the
+ *  guard's lowest vectorized exponent (a denormal amax when beta = 0),
+ *  among smaller denormals. */
+std::vector<float>
+encoder_probe(const QuantPlan& plan, std::size_t cols, stats::Rng& rng)
+{
+    constexpr std::size_t kRows = 19;
+    std::vector<float> x(kRows * cols);
+    const std::size_t half = std::size_t{1} << std::max(plan.m - 1, 0);
+    const float step = std::ldexp(1.0f, 1 - plan.m);
+    for (std::size_t c = 0; c < cols; ++c) {
+        const float sign = c % 3 == 1 ? -1.0f : 1.0f;
+        x[0 * cols + c] = 0.0f;
+        x[1 * cols + c] = c % 2 == 0 ? 0.0f : -0.0f;
+        x[2 * cols + c] =
+            c % 5 == 0 ? sign * FLT_MAX : sign * (0.5f + 0.01f * c);
+        x[3 * cols + c] = c % 4 < 2 ? sign * 1e-41f * (1 + c)
+                                    : sign * 0.75f * (1 + c % 7);
+        x[4 * cols + c] =
+            sign * (1.0f + (static_cast<float>(c % half) + 0.5f) * step);
+        x[5 * cols + c] =
+            c % 4 == 0 ? sign * 1.25f * std::ldexp(1.0f, -130)
+                       : sign * (std::ldexp(1.0f, -130 - plan.beta) +
+                                 std::ldexp(1.0f, -129 - plan.beta - plan.m));
+        x[6 * cols + c] = c % 6 == 0
+            ? sign * 1.5f * std::ldexp(1.0f, plan.beta - 127)
+            : sign * 3e-44f * static_cast<float>(1 + c % 4);
+    }
+    const Tensor r = spread_randn(kRows - 7, static_cast<std::int64_t>(cols),
+                                  rng);
+    std::copy(r.data(), r.data() + r.numel(), x.begin() + 7 * cols);
+    return x;
+}
+
+} // namespace
+
 TEST(PackedOperand, DecodeEqualsQuantizeAndRowOffsetsAreUniform)
 {
     stats::Rng rng(103);
@@ -264,6 +330,78 @@ TEST(PackedOperand, DecodeEqualsQuantizeAndRowOffsetsAreUniform)
             // tensor it replaces.
             EXPECT_LT(dec.memory_bytes(),
                       static_cast<std::size_t>(w.numel()) * sizeof(float));
+        }
+    }
+
+    // The activation-side encoder (PackedOperand::quantize) against the
+    // decode of the scalar reference's packed stream, bit for bit, on
+    // every SIMD level, every width from 1 to 2 * k1 + 1, and edge
+    // values.  The formats cover every sub-block path of the AVX2 leg:
+    // k2 = 2 (MX9/6/4), d2 = 0 (MSFP16, BFP with d1 = 11 and k1 = 64),
+    // k2 = 1, 4, 8 in registers, and k2 = 3 or 16 through the per-
+    // element shift table (k1 = 24 also puts a short chunk inside every
+    // full block).
+    const std::vector<core::BdrFormat> formats = {
+        core::mx9(),
+        core::mx6(),
+        core::mx4(),
+        core::msfp16(),
+        core::bfp_custom(7, 11, 64),
+        core::mx_custom(6, 8, 8, 1, 1),
+        core::mx_custom(4, 8, 16, 2, 4),
+        core::mx_custom(2, 8, 32, 3, 8),
+        core::mx_custom(5, 8, 24, 2, 3),
+        core::mx_custom(3, 8, 64, 2, 16),
+    };
+    const core::RoundingMode modes[] = {core::RoundingMode::NearestEven,
+                                        core::RoundingMode::TowardZero,
+                                        core::RoundingMode::NearestAway};
+    for (const auto& fmt : formats) {
+        const QuantPlan plan = make_quant_plan(fmt);
+        const std::size_t k1 = static_cast<std::size_t>(plan.k1);
+        for (std::size_t cols = 1; cols <= 2 * k1 + 1; ++cols) {
+            const std::vector<float> x = encoder_probe(plan, cols, rng);
+            const std::size_t rows = x.size() / cols;
+            for (const core::RoundingMode mode : modes) {
+                const core::Rounder rounder(mode);
+                core::BitWriter w;
+                core::kernels::scalar_kernel().quantize_pack_rows(
+                    plan, x.data(), rows, cols, rounder, w);
+                const gemm::PackedOperand dec =
+                    gemm::PackedOperand::decode(plan, w.bytes(), rows, cols);
+                for_each_simd_level([&](const char* level) {
+                    const gemm::PackedOperand enc =
+                        gemm::PackedOperand::quantize(plan, x.data(), rows,
+                                                      cols, rounder);
+                    ASSERT_EQ(dec.rows(), enc.rows());
+                    ASSERT_EQ(dec.cols(), enc.cols());
+                    for (std::size_t r = 0; r < rows; ++r) {
+                        for (std::size_t c = 0; c < cols; ++c)
+                            ASSERT_EQ(dec.row_mantissa(r)[c],
+                                      enc.row_mantissa(r)[c])
+                                << fmt.name << " " << level << " cols "
+                                << cols << " mode "
+                                << static_cast<int>(mode) << " [" << r
+                                << "," << c << "] x=" << x[r * cols + c];
+                        for (std::size_t b = 0; b < dec.blocks_per_row();
+                             ++b)
+                            ASSERT_EQ(dec.row_exp(r)[b], enc.row_exp(r)[b])
+                                << fmt.name << " " << level << " cols "
+                                << cols << " row " << r << " block " << b;
+                    }
+                    // Exponent lanes past the last row stay zero.
+                    const std::size_t groups =
+                        (rows + gemm::kExpGroupRows - 1) /
+                        gemm::kExpGroupRows;
+                    const std::int16_t* last = enc.group_exp(groups - 1);
+                    for (std::size_t b = 0; b < enc.blocks_per_row(); ++b)
+                        for (std::size_t lane = rows % gemm::kExpGroupRows;
+                             lane != 0 && lane < gemm::kExpGroupRows;
+                             ++lane)
+                            ASSERT_EQ(last[b * gemm::kExpGroupRows + lane],
+                                      0);
+                });
+            }
         }
     }
 }
@@ -910,26 +1048,6 @@ class ScopedGemmThreads
     }
     ~ScopedGemmThreads() { gemm::set_gemm_threads(0); }
 };
-
-/** Run @p body once per SIMD level this host/build can execute,
- *  pinned via the dispatch test hook; restores the env resolution. */
-template <typename Fn>
-void
-for_each_simd_level(Fn&& body)
-{
-    namespace ck = core::kernels;
-    ck::set_simd_level(ck::SimdLevel::Scalar);
-    body("scalar");
-    if (ck::avx2_supported()) {
-        ck::set_simd_level(ck::SimdLevel::Avx2);
-        body("avx2");
-    }
-    if (ck::avx512_supported()) {
-        ck::set_simd_level(ck::SimdLevel::Avx512);
-        body("avx512");
-    }
-    ck::reset_simd_level();
-}
 
 /** Shapes that cross the tile grid: rows past kTileRowsA = 64, cols
  *  past kTileRowsB = 16, ragged contraction tails, exact boundaries. */
